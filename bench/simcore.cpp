@@ -9,7 +9,8 @@
 //       ./simcore --json BENCH_simcore.json [--requests 250000] [--repeats 3]
 //     Writes BENCH_simcore.json (see README "Performance"): forwarding
 //     events/sec for the typed engine vs a faithful replica of the engine it
-//     replaced, timer-churn events/sec for the cancel-heavy lane, heap
+//     replaced, timer-churn events/sec for the cancel-heavy lane, typed-lane
+//     pop+push cost at 1k/20k/100k pending events (queue hold), heap
 //     allocations per steady-state event (this binary links the counting
 //     allocator), and wall time for a seeded fig7-style experiment.
 //
@@ -26,6 +27,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -478,6 +480,42 @@ std::uint64_t runTypedChurn(std::uint64_t total_events) {
   return state.fired;
 }
 
+// --- Queue hold model ------------------------------------------------------
+//
+// The classic priority-queue "hold" benchmark on the typed lane: `pending`
+// events sit in the queue; each step pops the earliest and schedules one
+// replacement a random delay later, so the pending count stays put and
+// every step is one pop plus one push.  SRM runs of the Fig. 5-8 sweep
+// (n=500, p=5%) hold about 20k events pending, so the 20k row is the one
+// that sweep feels; 1k and 100k bracket it.
+
+constexpr std::array<std::size_t, 3> kHoldSizes = {1000, 20000, 100000};
+
+/// Fills a queue with `pending` events, then times `ops` pop+push steps;
+/// returns the wall time of the steps alone.
+double runQueueHold(std::size_t pending, std::uint64_t ops) {
+  sim::EventQueue queue;
+  CountingSink sink;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  const auto delay = [&rng] {  // uniform in [0, 1000) ms
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(rng >> 11) * 0x1p-53 * 1000.0;
+  };
+  sim::EventRecord record{sim::EventKind::kTimer, {}};
+  record.data.timer = sim::TimerEvent{0, 1, 0, 0};
+  for (std::size_t i = 0; i < pending; ++i) {
+    queue.scheduleEvent(delay(), &sink, record);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const double now = queue.popAndFire();
+    queue.scheduleEvent(now + delay(), &sink, record);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(sink.fired);
+  return std::chrono::duration<double, std::milli>(stop - start).count();
+}
+
 double wallMs(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -545,6 +583,21 @@ void BM_TypedEngineChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TypedEngineChurn)->Arg(100000)->Unit(benchmark::kMillisecond);
 
+void BM_QueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kOps = 100000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runQueueHold(pending, kOps));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kOps));
+}
+BENCHMARK(BM_QueueHold)
+    ->Arg(1000)
+    ->Arg(20000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Fig7Experiment(benchmark::State& state) {
   const harness::ExperimentConfig config = fig7Config();
   for (auto _ : state) {
@@ -605,6 +658,20 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
   std::cerr << "  legacy: " << legacy_churn_ms << " ms, typed: "
             << typed_churn_ms << " ms ("
             << typed_churn_eps / legacy_churn_eps << "x)\n";
+
+  // Queue hold: pop+push cost of the typed lane at three pending sizes.
+  const std::uint64_t hold_ops = 4 * requests;
+  std::cerr << "[simcore] queue hold, " << hold_ops << " pop+push steps\n";
+  std::array<double, kHoldSizes.size()> hold_ms{};
+  for (std::size_t i = 0; i < kHoldSizes.size(); ++i) {
+    for (unsigned r = 0; r < repeats; ++r) {
+      const double ms = runQueueHold(kHoldSizes[i], hold_ops);
+      hold_ms[i] = r == 0 ? ms : std::min(hold_ms[i], ms);
+    }
+    std::cerr << "  " << kHoldSizes[i] << " pending: "
+              << hold_ms[i] * 1e6 / static_cast<double>(hold_ops)
+              << " ns per pop+push\n";
+  }
 
   // Steady-state allocations through the REAL data plane: one warm-up
   // forwarding campaign sizes the slab, arenas and heap; a second identical
@@ -713,6 +780,13 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
       << ", \"typed_wall_ms\": " << typed_churn_ms
       << ", \"typed_events_per_sec\": " << typed_churn_eps
       << ", \"speedup\": " << typed_churn_eps / legacy_churn_eps << "},\n";
+  out << "  \"queue_hold\": {\"ops\": " << hold_ops << ", \"rows\": [";
+  for (std::size_t i = 0; i < kHoldSizes.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << "{\"pending\": " << kHoldSizes[i]
+        << ", \"wall_ms\": " << hold_ms[i] << ", \"ns_per_op\": "
+        << hold_ms[i] * 1e6 / static_cast<double>(hold_ops) << "}";
+  }
+  out << "]},\n";
   out << "  \"steady_state_allocs\": {\"events\": " << steady_events
       << ", \"allocations\": " << steady_allocs
       << ", \"allocs_per_event\": " << allocs_per_event << "},\n";

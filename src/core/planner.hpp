@@ -31,8 +31,9 @@ struct PlannerOptions {
   /// Peers that must not appear on any list (§4: "many similar useful
   /// restrictions of this graph are conceivable"), e.g. known-flaky or
   /// resource-constrained receivers.  They remain protected clients
-  /// themselves.
-  std::vector<net::NodeId> excluded_peers;
+  /// themselves.  The `{}` lets designated-initializer callers omit it
+  /// without -Wmissing-field-initializers.
+  std::vector<net::NodeId> excluded_peers{};
   /// Worker threads for whole-group planning (0 = hardware concurrency,
   /// 1 = sequential).  Clients are planned independently into pre-sized
   /// slots, so the result is bit-identical for every thread count.  Runtime

@@ -6,20 +6,46 @@
 // transmission and later obtained the packet.  Bandwidth is the total hop
 // count of all recovery traffic (requests, NACKs, repairs) divided by the
 // number of recoveries.
+//
+// Per-loss state lives in a dense (agent row, seq) table (util/seq_table.hpp,
+// DESIGN.md §10.4).  This class owns the NodeId -> row index: the protocol
+// registers its agents at attach() (and uses the same rows for its own
+// tables) and sizes a column for each new sequence in sourceMulticast(), so
+// recording during the simulation is a table lookup that never allocates.
+// Used standalone, the caller sizes the tables the same way first.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
 #include "metrics/stats.hpp"
 #include "net/types.hpp"
+#include "util/seq_table.hpp"
 
 namespace rmrn::metrics {
 
 class RecoveryMetrics {
  public:
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+
+  /// Sizes the per-node tables for NodeIds [0, nodes) and gives each of
+  /// `agents` the next row of the per-loss tables, in order (agents that
+  /// already have one keep it).  An agent id >= nodes throws
+  /// std::invalid_argument.
+  void addAgents(std::size_t nodes, std::span<const net::NodeId> agents);
+  /// Sizes the per-loss tables for sequences [0, sequences).
+  void reserveSequences(std::uint64_t sequences);
+
+  /// Dense row of `node` in the per-loss tables; kNoRow when it has none.
+  [[nodiscard]] std::uint32_t agentRow(net::NodeId node) const {
+    return node < row_of_.size() ? row_of_[node] : kNoRow;
+  }
+  [[nodiscard]] std::size_t agentRows() const { return totals_.size(); }
+
   /// Registers that `client` lost data packet `seq`, detected at
-  /// `detect_time_ms`.  Duplicate registration throws std::logic_error.
+  /// `detect_time_ms`.  Duplicate registration throws std::logic_error; a
+  /// (client, seq) the tables were not sized for throws std::out_of_range.
   void recordLoss(net::NodeId client, std::uint64_t seq,
                   double detect_time_ms);
 
@@ -70,19 +96,17 @@ class RecoveryMetrics {
 
   /// Resilience counters (DESIGN.md §9), recorded by the protocol layer.
   void recordRetry() { ++retries_; }
-  void recordTimeout(net::NodeId target) {
-    ++timeouts_;
-    ++timeouts_by_target_[target];
-  }
+  /// A `target` outside the addAgents() node range throws
+  /// std::out_of_range.
+  void recordTimeout(net::NodeId target);
   void recordBlacklist(net::NodeId /*peer*/) { ++blacklist_events_; }
   void recordFailover(net::NodeId /*client*/) { ++failovers_; }
   void recordSourceFallback(net::NodeId /*client*/) { ++source_fallbacks_; }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
-  [[nodiscard]] std::uint64_t timeoutsFor(net::NodeId target) const;
-  [[nodiscard]] const std::unordered_map<net::NodeId, std::uint64_t>&
-  timeoutsByTarget() const {
-    return timeouts_by_target_;
+  [[nodiscard]] std::uint64_t timeoutsFor(net::NodeId target) const {
+    return target < timeouts_by_target_.size() ? timeouts_by_target_[target]
+                                               : 0;
   }
   [[nodiscard]] std::uint64_t blacklistEvents() const {
     return blacklist_events_;
@@ -104,18 +128,26 @@ class RecoveryMetrics {
   [[nodiscard]] double lastRecoveryTime(net::NodeId client) const;
 
  private:
-  struct Pending {
+  enum class LossState : std::uint8_t { kNone, kPending, kRecovered };
+  struct Loss {
     double detect_time_ms = 0.0;
-    bool recovered = false;
+    LossState state = LossState::kNone;  // abandoning resets to kNone
   };
-  using Key = std::uint64_t;
-  static Key key(net::NodeId client, std::uint64_t seq);
+  /// Terminal accounting of one client row.
+  struct ClientTotals {
+    std::uint64_t losses = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t abandoned = 0;
+    double last_recovery_ms = 0.0;
+  };
 
-  std::unordered_map<Key, Pending> pending_;
-  std::unordered_map<net::NodeId, double> last_recovery_;
-  std::unordered_map<net::NodeId, std::uint64_t> losses_by_client_;
-  std::unordered_map<net::NodeId, std::uint64_t> recoveries_by_client_;
-  std::unordered_map<net::NodeId, std::uint64_t> abandoned_by_client_;
+  /// The loss cell of (client, seq), or nullptr when it has none.
+  [[nodiscard]] const Loss* find(net::NodeId client, std::uint64_t seq) const;
+  [[nodiscard]] Loss* find(net::NodeId client, std::uint64_t seq);
+
+  std::vector<std::uint32_t> row_of_;  // NodeId -> table row, or kNoRow
+  util::SeqTable<Loss> losses_table_;
+  std::vector<ClientTotals> totals_;   // by row
   Accumulator latency_;
   std::size_t losses_ = 0;
   std::size_t abandoned_ = 0;
@@ -125,7 +157,7 @@ class RecoveryMetrics {
   std::uint64_t blacklist_events_ = 0;
   std::uint64_t failovers_ = 0;
   std::uint64_t source_fallbacks_ = 0;
-  std::unordered_map<net::NodeId, std::uint64_t> timeouts_by_target_;
+  std::vector<std::uint64_t> timeouts_by_target_;  // by NodeId
 };
 
 }  // namespace rmrn::metrics

@@ -14,6 +14,11 @@ void Accumulator::add(double sample) {
   sum_ += sample;
 }
 
+void Accumulator::reserve(std::size_t count) {
+  if (count <= samples_.capacity()) return;
+  samples_.reserve(std::max(count, 2 * samples_.capacity()));
+}
+
 void Accumulator::merge(const Accumulator& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());

@@ -22,6 +22,10 @@ struct Summary {
 class Accumulator {
  public:
   void add(double sample);
+  /// Makes room for `count` samples in total.  Capacity at least doubles
+  /// when it grows, so reserving one more sample at a time is amortised
+  /// O(1); add() then never allocates below `count`.
+  void reserve(std::size_t count);
   void merge(const Accumulator& other);
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }

@@ -9,7 +9,7 @@ namespace rmrn::protocols {
 
 namespace {
 
-std::uint64_t haveKey(net::NodeId node, std::uint64_t seq) {
+std::uint64_t probeKey(net::NodeId node, std::uint64_t seq) {
   if (seq > 0xffffffffULL) {
     throw std::invalid_argument("RecoveryProtocol: seq exceeds 32 bits");
   }
@@ -31,9 +31,20 @@ RecoveryProtocol::RecoveryProtocol(sim::SimNetwork& network,
   }
 }
 
+// rmrn-lint: init-phase
 void RecoveryProtocol::attach() {
   if (attached_) throw std::logic_error("RecoveryProtocol: already attached");
   attached_ = true;
+  // Rows for the agents this instance runs: in shard mode a region's
+  // protocol handles deliveries and losses of its own agents only.
+  std::vector<net::NodeId> agents;
+  if (network_.isShardLocal(source())) agents.push_back(source());
+  for (const net::NodeId client : topology().clients) {
+    if (network_.isShardLocal(client)) agents.push_back(client);
+  }
+  metrics_.addAgents(topology().graph.numNodes(), agents);
+  have_.grow(metrics_.agentRows(), 0);
+  growSeqTables(metrics_.agentRows(), 0);
   network_.setDeliveryHandler(
       [this](net::NodeId at, const sim::Packet& packet) {
         dispatch(at, packet);
@@ -53,7 +64,8 @@ void RecoveryProtocol::noteRequestSent(net::NodeId client, std::uint64_t seq,
                                        net::NodeId target, bool retransmit,
                                        bool any_origin) {
   if (!config_.health.enabled) return;
-  probes_[haveKey(client, seq)].push_back(
+  // rmrn-lint: allow(HOT-1) probe lists exist only with adaptive timeouts (health.enabled), outside the zero-allocation pins
+  probes_[probeKey(client, seq)].push_back(
       Probe{target, simulator().now(), retransmit, any_origin});
 }
 
@@ -70,7 +82,7 @@ bool RecoveryProtocol::noteRequestTimeout(net::NodeId client,
 void RecoveryProtocol::observeResponse(net::NodeId at,
                                        const sim::Packet& packet) {
   if (!config_.health.enabled) return;
-  const auto it = probes_.find(haveKey(at, packet.seq));
+  const auto it = probes_.find(probeKey(at, packet.seq));
   if (it == probes_.end()) return;
   const double now = simulator().now();
   // Karn's rule, strictly: an RTT sample is attributable only when the
@@ -112,12 +124,15 @@ void RecoveryProtocol::clientCrashed(net::NodeId client) {
 
 bool RecoveryProtocol::hasPacket(net::NodeId node, std::uint64_t seq) const {
   if (node == topology().source) return seq < next_seq_;
-  return have_.contains(haveKey(node, seq));
+  const std::uint32_t row = agentRow(node);
+  return have_.contains(row, seq) && have_.at(row, seq) != 0;
 }
 
 void RecoveryProtocol::markHasPacket(net::NodeId node, std::uint64_t seq) {
   if (node == topology().source) return;  // the source holds everything
-  if (!have_.insert(haveKey(node, seq)).second) return;  // duplicate
+  std::uint8_t& have = have_.at(agentRow(node), seq);
+  if (have != 0) return;  // duplicate
+  have = 1;
   metrics_.recordRecovery(node, seq, simulator().now());
   onPacketObtained(node, seq);
 }
@@ -129,6 +144,7 @@ void RecoveryProtocol::sourceMulticast(std::uint64_t seq,
     throw std::invalid_argument("RecoveryProtocol: out-of-order sequence");
   }
   ++next_seq_;
+  growSeqColumns(next_seq_);
 
   const auto& tree = topology().tree;
   if (losses.size() != tree.numMembers()) {
@@ -171,6 +187,12 @@ void RecoveryProtocol::sourceMulticast(std::uint64_t seq,
   sim::Packet data{sim::Packet::Type::kData, seq, topology().source,
                    net::kInvalidNode, 0};
   network_.multicastFromSource(data, &losses);
+}
+
+void RecoveryProtocol::growSeqColumns(std::size_t columns) {
+  have_.grow(have_.rows(), columns);
+  growSeqTables(have_.rows(), columns);
+  metrics_.reserveSequences(columns);
 }
 
 sim::EventId RecoveryProtocol::scheduleTimerAt(double at, std::uint32_t kind,
@@ -229,7 +251,7 @@ void RecoveryProtocol::onEvent(const sim::EventRecord& event) {
 
 void RecoveryProtocol::abandonSession(net::NodeId client, std::uint64_t seq) {
   metrics_.abandonLoss(client, seq);
-  probes_.erase(haveKey(client, seq));
+  probes_.erase(probeKey(client, seq));
   onSessionAbandoned(client, seq);
 }
 
@@ -295,6 +317,7 @@ void RecoveryProtocol::onData(net::NodeId, const sim::Packet&) {}
 void RecoveryProtocol::onPacketObtained(net::NodeId, std::uint64_t) {}
 void RecoveryProtocol::onClientCrashed(net::NodeId) {}
 void RecoveryProtocol::onSessionAbandoned(net::NodeId, std::uint64_t) {}
+void RecoveryProtocol::growSeqTables(std::size_t, std::size_t) {}
 std::size_t RecoveryProtocol::openSessions() const { return 0; }
 
 }  // namespace rmrn::protocols

@@ -7,7 +7,8 @@
 //    SRM and RMA recover identical losses — DESIGN.md §6),
 //   * loss detection (a client notices a missing packet one detection delay
 //     after the data would have arrived),
-//   * the per-agent "has packet" store, and
+//   * the per-agent "has packet" store, and the dense agent index that keys
+//     every scheme's (member, seq) state (util/seq_table.hpp), and
 //   * metric recording (a repair that supplies a missing packet completes a
 //     recovery regardless of which scheme delivered it).
 //
@@ -16,7 +17,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "metrics/recovery_metrics.hpp"
@@ -25,6 +25,7 @@
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
 #include "util/rng.hpp"
+#include "util/seq_table.hpp"
 
 namespace rmrn::protocols {
 
@@ -64,8 +65,9 @@ class RecoveryProtocol : public sim::EventSink {
   RecoveryProtocol(const RecoveryProtocol&) = delete;
   RecoveryProtocol& operator=(const RecoveryProtocol&) = delete;
 
-  /// Installs this protocol as the network's delivery handler.  Must be
-  /// called exactly once before the first transmission.
+  /// Installs this protocol as the network's delivery handler and builds
+  /// the dense agent index.  Must be called exactly once before the first
+  /// transmission.
   void attach();
 
   /// Multicasts data packet `seq` from the source now.  `losses` are the
@@ -166,6 +168,26 @@ class RecoveryProtocol : public sim::EventSink {
   /// fires onPacketObtained() on first receipt.
   void markHasPacket(net::NodeId node, std::uint64_t seq);
 
+  /// Dense agent index, registered with the metrics at attach():
+  /// consecutive rows number the source and the clients this instance runs
+  /// (in shard mode, only its own region's).  Other nodes map to kNoRow.
+  static constexpr std::uint32_t kNoRow = metrics::RecoveryMetrics::kNoRow;
+  [[nodiscard]] std::uint32_t agentRow(net::NodeId node) const {
+    return metrics_.agentRow(node);
+  }
+  /// Makes sure every (member, seq) table has a column for `seq`.  Scheme
+  /// entry points that open a session call it first, so a loss detection
+  /// fabricated for a sequence never multicast (fault-injection tests) stays
+  /// in range; in a simulation sourceMulticast() already added the column
+  /// and this is a compare.
+  void coverSequence(std::uint64_t seq) {
+    if (seq >= have_.columns()) growSeqColumns(seq + 1);
+  }
+  /// Grows the scheme's own (member, seq) tables to `rows` x `columns`
+  /// (SeqTable::grow).  Called at attach() and once per sourceMulticast(),
+  /// never from an event handler.
+  virtual void growSeqTables(std::size_t rows, std::size_t columns);
+
   /// Scheme-facing accessors.
   [[nodiscard]] sim::SimNetwork& network() { return network_; }
   [[nodiscard]] sim::Simulator& simulator() { return network_.simulator(); }
@@ -228,6 +250,9 @@ class RecoveryProtocol : public sim::EventSink {
   void recordDuplicateSessionAttempt() { ++duplicate_sessions_; }
 
  private:
+  /// Grows every (member, seq) table — the has-packet store, the scheme's
+  /// own and the metrics' — to `columns` sequences.
+  void growSeqColumns(std::size_t columns);
   void dispatch(net::NodeId at, const sim::Packet& packet);
   /// Matches an arriving repair/parity against outstanding probes.
   void observeResponse(net::NodeId at, const sim::Packet& packet);
@@ -238,9 +263,9 @@ class RecoveryProtocol : public sim::EventSink {
   std::uint64_t next_seq_ = 0;
   bool attached_ = false;
   std::uint64_t duplicate_deliveries_ = 0;
-  /// (node << 32 | seq) pairs a client holds; the source implicitly holds
-  /// every sent sequence.
-  std::unordered_set<std::uint64_t> have_;
+  /// Nonzero where (agent row, seq) holds the packet; the source implicitly
+  /// holds every sent sequence.
+  util::SeqTable<std::uint8_t> have_;
   PeerHealth health_;
   struct Probe {
     net::NodeId target = net::kInvalidNode;

@@ -6,6 +6,7 @@
 
 namespace rmrn::protocols {
 
+// rmrn-lint: init-phase
 RmaProtocol::RmaProtocol(sim::SimNetwork& network,
                          metrics::RecoveryMetrics& metrics,
                          const ProtocolConfig& config)
@@ -28,50 +29,59 @@ const std::vector<core::Candidate>& RmaProtocol::searchOrder(
 }
 
 void RmaProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
+  coverSequence(seq);
   // Same hazard as RP: a duplicate detection must not restart a live search
   // and orphan its armed timer.
-  const auto [it, inserted] = searches_.try_emplace(key(client, seq));
-  if (!inserted) {
+  Search& fresh = search(client, seq);
+  if (fresh.open) {
     recordDuplicateSessionAttempt();
     return;
   }
+  fresh.open = true;
+  ++open_searches_;
   ++searches_started_;
   advanceSearch(client, seq);
 }
 
+void RmaProtocol::closeSearch(Search& closing) {
+  if (closing.timer != 0) simulator().cancel(closing.timer);
+  closing = Search{};
+  --open_searches_;
+}
+
 void RmaProtocol::advanceSearch(net::NodeId client, std::uint64_t seq) {
-  auto& search = searches_.at(key(client, seq));
+  Search& current = search(client, seq);
   const auto& order = order_.at(client);
 
   // Skip upstream levels the health tracker has written off.
-  while (search.next_level < order.size() &&
-         peerBlacklisted(client, order[search.next_level].peer)) {
-    ++search.next_level;
+  while (current.next_level < order.size() &&
+         peerBlacklisted(client, order[current.next_level].peer)) {
+    ++current.next_level;
   }
 
-  if (adaptiveTimeouts() && search.attempts >= config().health.retry_budget) {
+  if (adaptiveTimeouts() && current.attempts >= config().health.retry_budget) {
     // Give up: explicit abandon under the watchdog, residual otherwise.
-    searches_.erase(key(client, seq));
+    closeSearch(current);
     if (watchdogEnabled()) abandonSession(client, seq);
     return;
   }
 
-  const bool at_source = search.next_level >= order.size();
+  const bool at_source = current.next_level >= order.size();
   const net::NodeId target =
-      at_source ? source() : order[search.next_level].peer;
-  if (!at_source) ++search.next_level;  // retries stay at the source
+      at_source ? source() : order[current.next_level].peer;
+  if (!at_source) ++current.next_level;  // retries stay at the source
 
-  const bool retransmit = at_source && search.source_attempts > 0;
+  const bool retransmit = at_source && current.source_attempts > 0;
   if (at_source) {
-    if (search.source_attempts == 0) {
+    if (current.source_attempts == 0) {
       recoveryMetrics().recordSourceFallback(client);
     }
-    ++search.source_attempts;
+    ++current.source_attempts;
   }
   // Only same-target re-sends count as retries (the one-by-one search walk
   // issues fresh requests); see the matching comment in RpProtocol.
   if (retransmit) recoveryMetrics().recordRetry();
-  ++search.attempts;
+  ++current.attempts;
 
   ++requests_sent_;
   network().unicast(client, target,
@@ -82,9 +92,8 @@ void RmaProtocol::advanceSearch(net::NodeId client, std::uint64_t seq) {
   // flooded repairs still feed the estimator.
   noteRequestSent(client, seq, target, retransmit, /*any_origin=*/true);
 
-  search.timer = scheduleTimerAfter(requestTimeout(client, target),
-                                    kTimerSearch, client, seq, target);
-  search.timer_armed = true;
+  current.timer = scheduleTimerAfter(requestTimeout(client, target),
+                                     kTimerSearch, client, seq, target);
 }
 
 void RmaProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
@@ -96,9 +105,9 @@ void RmaProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
   const auto client = static_cast<net::NodeId>(a);
   const std::uint64_t seq = b;
   const auto target = static_cast<net::NodeId>(c);
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;  // recovered meanwhile
-  it->second.timer_armed = false;
+  Search& expired = search(client, seq);
+  if (!expired.open) return;  // recovered meanwhile
+  expired.timer = 0;
   noteRequestTimeout(client, target);
   advanceSearch(client, seq);
 }
@@ -136,28 +145,20 @@ void RmaProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
 }
 
 void RmaProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  searches_.erase(it);
+  Search& recovered = search(client, seq);
+  if (recovered.open) closeSearch(recovered);
 }
 
 void RmaProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  searches_.erase(it);
+  Search& abandoned = search(client, seq);
+  if (abandoned.open) closeSearch(abandoned);
 }
 
 void RmaProtocol::onClientCrashed(net::NodeId client) {
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = searches_.begin(); it != searches_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.timer_armed) simulator().cancel(it->second.timer);
-      it = searches_.erase(it);
-    } else {
-      ++it;
-    }
+  const std::uint32_t row = agentRow(client);
+  if (row == kNoRow) return;
+  for (Search& crashed : searches_.row(row)) {
+    if (crashed.open) closeSearch(crashed);
   }
 }
 

@@ -56,7 +56,10 @@ class RmaProtocol final : public RecoveryProtocol {
   void onClientCrashed(net::NodeId client) override;
   void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
   [[nodiscard]] std::size_t openSessions() const override {
-    return searches_.size();
+    return open_searches_;
+  }
+  void growSeqTables(std::size_t rows, std::size_t columns) override {
+    searches_.grow(rows, columns);
   }
   void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
                std::uint64_t c) override;
@@ -68,20 +71,24 @@ class RmaProtocol final : public RecoveryProtocol {
   /// and arms the per-step timeout.
   void advanceSearch(net::NodeId client, std::uint64_t seq);
 
-  static std::uint64_t key(net::NodeId node, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(node) << 32) | seq;
-  }
-
+  /// One (client, seq) upstream search.  A timer handle of 0 means "not
+  /// armed" (EventQueue never issues id 0).
   struct Search {
-    std::size_t next_level = 0;  // into the search order; beyond it -> source
+    sim::EventId timer = 0;
+    std::uint32_t next_level = 0;  // into the search order; beyond -> source
     std::uint32_t attempts = 0;         // requests issued by this search
     std::uint32_t source_attempts = 0;  // of which addressed to the source
-    sim::EventId timer = 0;
-    bool timer_armed = false;
+    bool open = false;
   };
+  [[nodiscard]] Search& search(net::NodeId client, std::uint64_t seq) {
+    return searches_.at(agentRow(client), seq);
+  }
+  /// Closes the search, cancelling its timer.
+  void closeSearch(Search& closing);
 
   std::unordered_map<net::NodeId, std::vector<core::Candidate>> order_;
-  std::unordered_map<std::uint64_t, Search> searches_;
+  util::SeqTable<Search> searches_;
+  std::size_t open_searches_ = 0;
   std::uint64_t searches_started_ = 0;
   std::uint64_t requests_sent_ = 0;
   std::uint64_t repairs_multicast_ = 0;

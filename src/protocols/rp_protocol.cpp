@@ -19,58 +19,67 @@ const core::Strategy& RpProtocol::activeStrategy(net::NodeId client) const {
 }
 
 void RpProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
+  coverSequence(seq);
   // A duplicate detection must not restart a live session: overwriting it
   // would orphan the armed timer, which then fires against the fresh
   // session and double-advances the list (double-counting requests_sent_).
-  const auto [it, inserted] = sessions_.try_emplace(sessionKey(client, seq));
-  if (!inserted) {
+  Session& fresh = session(client, seq);
+  if (fresh.open) {
     recordDuplicateSessionAttempt();
     return;
   }
+  fresh.open = true;
+  ++open_sessions_;
   advanceSession(client, seq);
 }
 
+void RpProtocol::closeSession(Session& closing) {
+  if (closing.timer != 0) simulator().cancel(closing.timer);
+  closing = Session{};
+  --open_sessions_;
+}
+
 void RpProtocol::advanceSession(net::NodeId client, std::uint64_t seq) {
-  auto& session = sessions_.at(sessionKey(client, seq));
+  Session& current = session(client, seq);
   // Re-fetched every step: a failover replan may swap the list mid-session.
   // Indexes into the new list stay safe — every entry is blacklist-checked
   // before use and the walk still ends at the source.
   const auto& peers = activeStrategy(client).peers;
 
   // Skip peers the health tracker has written off.
-  while (session.next_index < peers.size() &&
-         peerBlacklisted(client, peers[session.next_index].peer)) {
-    ++session.next_index;
+  while (current.next_index < peers.size() &&
+         peerBlacklisted(client, peers[current.next_index].peer)) {
+    ++current.next_index;
   }
 
-  if (adaptiveTimeouts() && session.attempts >= config().health.retry_budget) {
+  if (adaptiveTimeouts() && current.attempts >= config().health.retry_budget) {
     // Retry budget exhausted: give up rather than hammer a dead path.  With
     // the watchdog on, the loss is explicitly abandoned so the run still
     // terminates clean; legacy mode leaves it in the residual metric.
-    sessions_.erase(sessionKey(client, seq));
+    closeSession(current);
     if (watchdogEnabled()) abandonSession(client, seq);
     return;
   }
 
   // Next target: the prioritized list, then the source (where the session
   // index stays so retries keep hitting the source until a repair lands).
-  const bool at_source = session.next_index >= peers.size();
+  const bool at_source = current.next_index >= peers.size();
   const net::NodeId target =
-      at_source ? source() : peers[session.next_index].peer;
-  if (!at_source) ++session.next_index;
+      at_source ? source() : peers[current.next_index].peer;
+  if (!at_source) ++current.next_index;
 
-  const bool retransmit = at_source && session.source_attempts > 0;
+  const bool retransmit = at_source && current.source_attempts > 0;
   if (at_source) {
-    if (session.source_attempts == 0) {
+    if (current.source_attempts == 0) {
       recoveryMetrics().recordSourceFallback(client);
     }
-    ++session.source_attempts;
+    ++current.source_attempts;
   }
   // A retry is a re-send to the SAME target (only the source is ever
   // re-asked); advancing down the peer list issues fresh requests, not
   // retries — that distinction keeps `retries` and `timeouts` decoupled.
   if (retransmit) recoveryMetrics().recordRetry();
-  ++session.attempts;
+  ++current.attempts;
 
   ++requests_sent_;
   network().unicast(client, target,
@@ -78,9 +87,8 @@ void RpProtocol::advanceSession(net::NodeId client, std::uint64_t seq) {
                                 client, nextRequestTag()});
   noteRequestSent(client, seq, target, retransmit);
 
-  session.timer = scheduleTimerAfter(requestTimeout(client, target),
+  current.timer = scheduleTimerAfter(requestTimeout(client, target),
                                      kTimerRequest, client, seq, target);
-  session.timer_armed = true;
 }
 
 void RpProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
@@ -92,9 +100,9 @@ void RpProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
   const auto client = static_cast<net::NodeId>(a);
   const std::uint64_t seq = b;
   const auto target = static_cast<net::NodeId>(c);
-  const auto it = sessions_.find(sessionKey(client, seq));
-  if (it == sessions_.end()) return;  // already recovered
-  it->second.timer_armed = false;
+  Session& expired = session(client, seq);
+  if (!expired.open) return;  // already recovered
+  expired.timer = 0;
   if (noteRequestTimeout(client, target)) adoptFailover(client);
   advanceSession(client, seq);
 }
@@ -137,28 +145,20 @@ void RpProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
 }
 
 void RpProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  const auto it = sessions_.find(sessionKey(client, seq));
-  if (it == sessions_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  sessions_.erase(it);
+  Session& recovered = session(client, seq);
+  if (recovered.open) closeSession(recovered);
 }
 
 void RpProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
-  const auto it = sessions_.find(sessionKey(client, seq));
-  if (it == sessions_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  sessions_.erase(it);
+  Session& abandoned = session(client, seq);
+  if (abandoned.open) closeSession(abandoned);
 }
 
 void RpProtocol::onClientCrashed(net::NodeId client) {
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.timer_armed) simulator().cancel(it->second.timer);
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
+  const std::uint32_t row = agentRow(client);
+  if (row == kNoRow) return;
+  for (Session& crashed : sessions_.row(row)) {
+    if (crashed.open) closeSession(crashed);
   }
 }
 

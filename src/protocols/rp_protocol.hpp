@@ -62,7 +62,10 @@ class RpProtocol : public RecoveryProtocol {
   void onClientCrashed(net::NodeId client) override;
   void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
   [[nodiscard]] std::size_t openSessions() const override {
-    return sessions_.size();
+    return open_sessions_;
+  }
+  void growSeqTables(std::size_t rows, std::size_t columns) override {
+    sessions_.grow(rows, columns);
   }
   void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
                std::uint64_t c) override;
@@ -78,20 +81,25 @@ class RpProtocol : public RecoveryProtocol {
   /// result for subsequent sessions.
   void adoptFailover(net::NodeId client);
 
+  /// One (client, seq) recovery session.  A timer handle of 0 means "not
+  /// armed" (EventQueue never issues id 0).
   struct Session {
-    std::size_t next_index = 0;  // into the peer list; beyond it -> source
+    sim::EventId timer = 0;
+    std::uint32_t next_index = 0;  // into the peer list; beyond it -> source
     std::uint32_t attempts = 0;         // requests issued by this session
     std::uint32_t source_attempts = 0;  // of which addressed to the source
-    sim::EventId timer = 0;
-    bool timer_armed = false;
+    bool open = false;
   };
-  static std::uint64_t sessionKey(net::NodeId client, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(client) << 32) | seq;
+  [[nodiscard]] Session& session(net::NodeId client, std::uint64_t seq) {
+    return sessions_.at(agentRow(client), seq);
   }
+  /// Closes the session, cancelling its timer.
+  void closeSession(Session& closing);
 
   const core::RpPlanner& planner_;
   SourceRecoveryMode source_mode_;
-  std::unordered_map<std::uint64_t, Session> sessions_;
+  util::SeqTable<Session> sessions_;
+  std::size_t open_sessions_ = 0;
   /// Adopted failover strategies by client (blacklist-pruned replans).
   std::unordered_map<net::NodeId, core::Strategy> failover_;
   std::uint64_t requests_sent_ = 0;

@@ -17,18 +17,21 @@ SrmProtocol::SrmProtocol(sim::SimNetwork& network,
 }
 
 void SrmProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
+  coverSequence(seq);
   // A duplicate detection must not reset a live want-state's timer/backoff.
-  const auto [it, inserted] = want_.emplace(key(client, seq), WantState{});
-  if (!inserted) {
+  Cell& state = cell(client, seq);
+  if (state.wanting) {
     recordDuplicateSessionAttempt();
     return;
   }
+  state.wanting = true;
+  ++open_wants_;
   armRequestTimer(client, seq);
 }
 
 void SrmProtocol::armRequestTimer(net::NodeId client, std::uint64_t seq) {
-  auto& state = want_.at(key(client, seq));
-  if (state.armed) simulator().cancel(state.timer);
+  Cell& state = cell(client, seq);
+  if (state.request_timer != 0) simulator().cancel(state.request_timer);
 
   const double d = routing().distance(client, source());
   const double scale =
@@ -37,8 +40,15 @@ void SrmProtocol::armRequestTimer(net::NodeId client, std::uint64_t seq) {
       std::max(config().min_timeout_ms,
                scale * rng_.uniformReal(srm_.c1, srm_.c1 + srm_.c2) * d);
 
-  state.timer = scheduleTimerAfter(delay, kTimerRequest, client, seq);
-  state.armed = true;
+  state.request_timer = scheduleTimerAfter(delay, kTimerRequest, client, seq);
+}
+
+void SrmProtocol::closeWant(Cell& state) {
+  if (state.request_timer != 0) simulator().cancel(state.request_timer);
+  state.request_timer = 0;
+  state.backoff = 0;
+  state.wanting = false;
+  --open_wants_;
 }
 
 void SrmProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
@@ -56,14 +66,14 @@ void SrmProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
 }
 
 void SrmProtocol::fireRequestTimer(net::NodeId client, std::uint64_t seq) {
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;  // recovered meanwhile
-  it->second.armed = false;
+  Cell& state = cell(client, seq);
+  if (!state.wanting) return;  // recovered meanwhile
+  state.request_timer = 0;
   ++requests_multicast_;
   // Re-multicasts (backoff already raised) count as retries; SRM's
   // requests are group-wide, so RTT samples are attributed to the source
   // as a group-level estimate and any repair origin matches.
-  const bool repeat = it->second.backoff > 0;
+  const bool repeat = state.backoff > 0;
   if (repeat) recoveryMetrics().recordRetry();
   network().multicastGroup(client,
                            sim::Packet{sim::Packet::Type::kRequest, seq,
@@ -71,7 +81,7 @@ void SrmProtocol::fireRequestTimer(net::NodeId client, std::uint64_t seq) {
   noteRequestSent(client, seq, source(), /*retransmit=*/repeat,
                   /*any_origin=*/true);
   // Re-arm with backoff in case the request or every repair is lost.
-  it->second.backoff = std::min(it->second.backoff + 1, srm_.max_backoff);
+  state.backoff = std::min(state.backoff + 1, srm_.max_backoff);
   armRequestTimer(client, seq);
 }
 
@@ -82,89 +92,71 @@ void SrmProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
   // re-trigger a holder's repair timer.
   if (!shouldServeRequest(at, packet)) return;
 
+  Cell& state = cell(at, packet.seq);
   if (hasPacket(at, packet.seq)) {
     // Holder: schedule a repair unless one is pending or recently seen.
-    const auto hold = hold_until_.find(key(at, packet.seq));
-    if (hold != hold_until_.end() && simulator().now() < hold->second) return;
-    auto [it, inserted] = repairing_.try_emplace(key(at, packet.seq));
-    if (!inserted && it->second.armed) return;  // repair timer already runs
+    if (simulator().now() < state.hold_until) return;
+    if (state.repair_timer != 0) return;  // repair timer already runs
 
     const double d = routing().distance(at, packet.requester);
     const double delay =
         std::max(config().min_timeout_ms,
                  rng_.uniformReal(srm_.d1, srm_.d1 + srm_.d2) * d);
-    it->second.timer = scheduleTimerAfter(delay, kTimerRepair, at, packet.seq);
-    it->second.armed = true;
-  } else {
+    state.repair_timer =
+        scheduleTimerAfter(delay, kTimerRepair, at, packet.seq);
+  } else if (state.wanting && state.request_timer != 0) {
     // Fellow loser: suppress own request via exponential backoff.
-    const auto it = want_.find(key(at, packet.seq));
-    if (it != want_.end() && it->second.armed) {
-      it->second.backoff = std::min(it->second.backoff + 1, srm_.max_backoff);
-      armRequestTimer(at, packet.seq);
-    }
+    state.backoff = std::min(state.backoff + 1, srm_.max_backoff);
+    armRequestTimer(at, packet.seq);
   }
 }
 
 void SrmProtocol::fireRepairTimer(net::NodeId at, std::uint64_t seq) {
-  const auto rit = repairing_.find(key(at, seq));
-  if (rit == repairing_.end() || !rit->second.armed) return;
-  rit->second.armed = false;
-  const auto h = hold_until_.find(key(at, seq));
-  if (h != hold_until_.end() && simulator().now() < h->second) return;
+  Cell& state = cell(at, seq);
+  if (state.repair_timer == 0) return;
+  state.repair_timer = 0;
+  if (simulator().now() < state.hold_until) return;
   ++repairs_multicast_;
   network().multicastGroup(at,
                            sim::Packet{sim::Packet::Type::kRepair, seq, at,
                                        net::kInvalidNode, /*tag=*/0});
-  hold_until_[key(at, seq)] =
+  state.hold_until =
       simulator().now() + srm_.hold_factor * routing().distance(at, source());
 }
 
 void SrmProtocol::onRepair(net::NodeId at, const sim::Packet& packet) {
   // Suppress a pending repair of our own and hold further ones.
-  const auto it = repairing_.find(key(at, packet.seq));
-  if (it != repairing_.end() && it->second.armed) {
-    simulator().cancel(it->second.timer);
-    it->second.armed = false;
+  Cell& state = cell(at, packet.seq);
+  if (state.repair_timer != 0) {
+    simulator().cancel(state.repair_timer);
+    state.repair_timer = 0;
   }
-  hold_until_[key(at, packet.seq)] =
+  state.hold_until =
       simulator().now() + srm_.hold_factor * routing().distance(at, source());
 }
 
 void SrmProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;
-  if (it->second.armed) simulator().cancel(it->second.timer);
-  want_.erase(it);
+  Cell& state = cell(client, seq);
+  if (state.wanting) closeWant(state);
 }
 
 void SrmProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
   // Only the loser role is a session; holder-side suppression state keeps
   // serving other members.
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;
-  if (it->second.armed) simulator().cancel(it->second.timer);
-  want_.erase(it);
+  Cell& state = cell(client, seq);
+  if (state.wanting) closeWant(state);
 }
 
 void SrmProtocol::onClientCrashed(net::NodeId client) {
   // Silence both roles of the crashed member: its pending requests and any
   // repair it was about to multicast.
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = want_.begin(); it != want_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.armed) simulator().cancel(it->second.timer);
-      it = want_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = repairing_.begin(); it != repairing_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.armed) simulator().cancel(it->second.timer);
-      it = repairing_.erase(it);
-    } else {
-      ++it;
+  const std::uint32_t row = agentRow(client);
+  if (row == kNoRow) return;
+  for (Cell& state : cells_.row(row)) {
+    if (state.wanting) closeWant(state);
+    if (state.repair_timer != 0) {
+      simulator().cancel(state.repair_timer);
+      state.repair_timer = 0;
     }
   }
 }

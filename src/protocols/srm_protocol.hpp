@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 
 #include "protocols/protocol.hpp"
 #include "util/rng.hpp"
@@ -57,7 +57,10 @@ class SrmProtocol final : public RecoveryProtocol {
   void onClientCrashed(net::NodeId client) override;
   void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
   [[nodiscard]] std::size_t openSessions() const override {
-    return want_.size();
+    return open_wants_;
+  }
+  void growSeqTables(std::size_t rows, std::size_t columns) override {
+    cells_.grow(rows, columns);
   }
   void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
                std::uint64_t c) override;
@@ -73,25 +76,27 @@ class SrmProtocol final : public RecoveryProtocol {
   /// Arms (or re-arms) u's request timer for `seq` at the current backoff.
   void armRequestTimer(net::NodeId client, std::uint64_t seq);
 
-  static std::uint64_t key(net::NodeId node, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(node) << 32) | seq;
+  /// Both roles' state for one (member, seq).  A timer handle of 0 means
+  /// "not armed" (EventQueue never issues id 0).
+  struct Cell {
+    sim::EventId request_timer = 0;  // loser: request-suppression timer
+    sim::EventId repair_timer = 0;   // holder: repair-suppression timer
+    /// Holder: requests are ignored until this time (after sending or
+    /// hearing a repair).
+    double hold_until = -std::numeric_limits<double>::infinity();
+    std::uint32_t backoff = 0;  // loser: exponential backoff exponent
+    bool wanting = false;       // loser: the recovery session is open
+  };
+  [[nodiscard]] Cell& cell(net::NodeId node, std::uint64_t seq) {
+    return cells_.at(agentRow(node), seq);
   }
-
-  struct WantState {
-    sim::EventId timer = 0;
-    bool armed = false;
-    std::uint32_t backoff = 0;
-  };
-  struct RepairState {
-    sim::EventId timer = 0;
-    bool armed = false;
-  };
+  /// Ends the loser session of `state`: cancels its timer, resets backoff.
+  void closeWant(Cell& state);
 
   SrmConfig srm_;
   util::Rng rng_;
-  std::unordered_map<std::uint64_t, WantState> want_;          // loser state
-  std::unordered_map<std::uint64_t, RepairState> repairing_;   // holder state
-  std::unordered_map<std::uint64_t, double> hold_until_;       // repair hold
+  util::SeqTable<Cell> cells_;
+  std::size_t open_wants_ = 0;  // cells with wanting set
   std::uint64_t requests_multicast_ = 0;
   std::uint64_t repairs_multicast_ = 0;
 };

@@ -55,6 +55,20 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+void EventQueue::siftDown(std::size_t i) const {
+  HeapEntry* const heap = heap_.data();
+  const std::size_t n = heap_.size();
+  const HeapEntry entry = heap[i];
+  const OrderKey key = entry.order();
+  for (std::size_t first = 4 * i + 1; first < n; first = 4 * i + 1) {
+    const std::size_t best = minChild(heap, n, first);
+    if (heap[best].order() >= key) break;
+    heap[i] = heap[best];
+    i = best;
+  }
+  heap[i] = entry;
+}
+
 void EventQueue::maybeCompact() {
   if (dead_in_heap_ < kCompactMinDead || dead_in_heap_ <= 2 * live_) return;
   std::size_t kept = 0;
@@ -73,7 +87,7 @@ void EventQueue::maybeCompact() {
 TimeMs EventQueue::nextTime() const {
   if (empty()) throw std::logic_error("EventQueue::nextTime on empty");
   skipDead();
-  return heap_[0].time;
+  return heap_[0].timeMs();
 }
 
 EventQueue::Fired EventQueue::pop() {
@@ -84,7 +98,7 @@ EventQueue::Fired EventQueue::pop() {
   const std::uint32_t slot = top.slot();
   Slot& s = slots_[slot];
   Fired fired;
-  fired.time = top.time;
+  fired.time = top.timeMs();
   fired.id = makeId(slot, s.gen);
   fired.record.kind = s.kind;
   fired.record.data = s.data;

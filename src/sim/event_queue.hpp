@@ -16,15 +16,19 @@
 // no heap allocation at steady state.  `std::function` callers use the
 // closure lane, which stores the function in a separate recycled slab.
 //
-// Heap keys are 16 bytes: the event time plus a single word packing
-// (insertion seq << 20) | slot.  Packing keeps tie-breaks a one-word compare
-// and fits two keys per cache line, which matters because sift traffic
-// dominates the engine's cost.  The packed widths bound the queue at 2^20
-// simultaneously-pending events and 2^44 total scheduled events per queue —
-// both enforced, both far past anything a simulation here reaches.
+// Heap keys are 16 bytes: an order-preserving 64-bit image of the event
+// time plus a single word packing (insertion seq << 20) | slot.  Read as one
+// 128-bit unsigned integer (time image high, packed word low), a key orders
+// exactly by (time, insertion seq), so every heap comparison is one
+// branch-free wide compare and two keys fit per cache line — sift traffic
+// dominates the engine's cost (DESIGN.md §10.1).  The packed widths bound the
+// queue at 2^20 simultaneously-pending events and 2^44 total scheduled events
+// per queue — both enforced, both far past anything a simulation here
+// reaches.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -127,12 +131,39 @@ class EventQueue {
     EventSink* sink = nullptr;
     EventData data;
   };
-  /// 4-ary heap key: (time, seq) with seq the global insertion sequence.
-  /// Slots never repeat within the pending set, so key order is seq order.
-  struct HeapEntry {
-    TimeMs time;
-    std::uint64_t key;  // (seq << kSlotBits) | slot
+  /// 128-bit heap order key; `__extension__` keeps -Wpedantic quiet about
+  /// the GCC/Clang builtin type.
+  __extension__ using OrderKey = unsigned __int128;
+  static constexpr std::uint64_t kSignBit = 1ull << 63;
 
+  /// Order-preserving image of a finite time: flip the sign bit of a
+  /// non-negative time, every bit of a negative one, so unsigned image order
+  /// is numeric time order.  -0.0 is first canonicalised to +0.0 (IEEE:
+  /// -0.0 + 0.0 == +0.0), keeping the two zeros an exact tie that falls back
+  /// to insertion order, as a floating-point compare would.
+  [[nodiscard]] static std::uint64_t timeImage(TimeMs time) {
+    const auto bits = std::bit_cast<std::uint64_t>(time + 0.0);
+    const auto negative = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(bits) >> 63);  // all ones when negative
+    return bits ^ (negative | kSignBit);
+  }
+  /// Inverse of timeImage() (up to the -0.0 canonicalisation).
+  [[nodiscard]] static TimeMs imageTime(std::uint64_t image) {
+    // Top bit set: the time was non-negative, only its sign bit flipped.
+    const std::uint64_t mask = ((image >> 63) - 1) | kSignBit;
+    return std::bit_cast<TimeMs>(image ^ mask);
+  }
+
+  /// 4-ary heap entry.  Slots never repeat within the pending set and seqs
+  /// never repeat at all, so keys are unique and key order is (time, seq).
+  struct HeapEntry {
+    std::uint64_t time_image;  // timeImage(time)
+    std::uint64_t key;         // (seq << kSlotBits) | slot
+
+    [[nodiscard]] OrderKey order() const {
+      return (static_cast<OrderKey>(time_image) << 64) | key;
+    }
+    [[nodiscard]] TimeMs timeMs() const { return imageTime(time_image); }
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(key & kSlotMask);
     }
@@ -185,32 +216,30 @@ class EventQueue {
     const std::uint64_t seq = next_seq_++;
     slots_[slot].seq = seq;
     // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
-    heap_.push_back(HeapEntry{at, (seq << kSlotBits) | slot});
+    heap_.push_back(HeapEntry{timeImage(at), (seq << kSlotBits) | slot});
     siftUp(heap_.size() - 1);
     ++live_;
     return makeId(slot, slots_[slot].gen);
   }
 
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
   void siftUp(std::size_t i) const {
     const HeapEntry entry = heap_[i];
+    const OrderKey key = entry.order();
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!before(entry, heap_[parent])) break;
+      if (key >= heap_[parent].order()) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
     heap_[i] = entry;
   }
+  /// Index of the minimum child among heap[first, min(first + 4, n)),
+  /// with first < n.
+  [[nodiscard]] static std::size_t minChild(const HeapEntry* heap,
+                                            std::size_t n, std::size_t first);
+  /// Top-down sift (heap construction in maybeCompact()).
   void siftDown(std::size_t i) const;
-  void popRoot() const {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
-  }
+  void popRoot() const;
   [[nodiscard]] bool entryDead(const HeapEntry& e) const {
     return slots_[e.slot()].seq != e.seq();
   }
@@ -242,22 +271,53 @@ class EventQueue {
 // once per simulated event, so keeping them visible to callers (for inlining)
 // is worth the header weight; cold and rare paths stay in event_queue.cpp.
 
-inline void EventQueue::siftDown(std::size_t i) const {
-  const std::size_t n = heap_.size();
-  const HeapEntry entry = heap_[i];
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
+inline std::size_t EventQueue::minChild(const HeapEntry* heap, std::size_t n,
+                                        std::size_t first) {
+  std::size_t best = first;
+  OrderKey best_key = heap[first].order();
+  if (first + 4 <= n) {
+    // Full node: a two-round tournament of selects, no data-dependent
+    // branches (the compiler lowers each ternary to conditional moves).
+    const OrderKey k1 = heap[first + 1].order();
+    const OrderKey k2 = heap[first + 2].order();
+    const OrderKey k3 = heap[first + 3].order();
+    const bool right01 = k1 < best_key;
+    best_key = right01 ? k1 : best_key;
+    const bool right23 = k3 < k2;
+    const OrderKey min23 = right23 ? k3 : k2;
+    const bool right = min23 < best_key;
+    best_key = right ? min23 : best_key;
+    best = right ? first + 2 + static_cast<std::size_t>(right23)
+                 : first + static_cast<std::size_t>(right01);
+  } else {
+    for (std::size_t c = first + 1; c < n; ++c) {
+      const OrderKey key = heap[c].order();
+      const bool lower = key < best_key;
+      best_key = lower ? key : best_key;
+      best = lower ? c : best;
     }
-    if (!before(heap_[best], entry)) break;
-    heap_[i] = heap_[best];
-    i = best;
   }
-  heap_[i] = entry;
+  return best;
+}
+
+inline void EventQueue::popRoot() const {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  // Bottom-up removal: the hole at the root descends along minimum children
+  // to a leaf without comparing against `last`, which then sifts up from
+  // there.  The former last entry nearly always belongs near the bottom, so
+  // this saves the per-level compare of a top-down sift.
+  HeapEntry* const heap = heap_.data();
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t first = 1; first < n; first = 4 * hole + 1) {
+    const std::size_t best = minChild(heap, n, first);
+    heap[hole] = heap[best];
+    hole = best;
+  }
+  heap[hole] = last;
+  siftUp(hole);
 }
 
 inline EventId EventQueue::scheduleEvent(TimeMs at, EventSink* sink,
@@ -277,17 +337,18 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   if (empty()) return false;
   skipDead();
   const HeapEntry top = heap_[0];
-  if (top.time > until) return false;
+  const TimeMs time = top.timeMs();
+  if (time > until) return false;
   popRoot();
   const std::uint32_t slot = top.slot();
   Slot& s = slots_[slot];
-  RMRN_ENSURE(top.time >= last_fired_,
+  RMRN_ENSURE(time >= last_fired_,
               "event queue popped an event earlier than the previous one");
-  last_fired_ = top.time;
+  last_fired_ = time;
   --live_;
   // The clock advances before the handler runs: handlers schedule relative
   // to the owning simulator's now().
-  *clock = top.time;
+  *clock = time;
   if (s.kind == EventKind::kClosure) {
     auto action = std::move(closures_[s.data.closure]);
     freeSlot(slot);

@@ -103,8 +103,8 @@ TEST(CodedExperimentTest, AveragedRunsAggregateCodedCounters) {
   for (std::uint32_t r = 0; r < 3; ++r) {
     ExperimentConfig one = config;
     one.seed = config.seed + r;
-    const ProtocolResult& res =
-        runExperiment(one, kinds).result(ProtocolKind::kCodedRlc);
+    const ExperimentResult run = runExperiment(one, kinds);
+    const ProtocolResult& res = run.result(ProtocolKind::kCodedRlc);
     waves += res.source_repair_multicasts;
     nacks += res.fec_nacks_sent;
   }

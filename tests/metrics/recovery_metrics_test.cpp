@@ -2,8 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rmrn::metrics {
 namespace {
+
+/// Tables sized the way RecoveryProtocol::attach() and sourceMulticast()
+/// size them: nodes 0..9, agent rows for 1..8, sequences 0..15.
+RecoveryMetrics sizedMetrics() {
+  RecoveryMetrics m;
+  const net::NodeId agents[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  m.addAgents(10, agents);
+  m.reserveSequences(16);
+  return m;
+}
 
 TEST(RecoveryMetricsTest, InitiallyEmpty) {
   const RecoveryMetrics m;
@@ -14,7 +26,7 @@ TEST(RecoveryMetricsTest, InitiallyEmpty) {
 }
 
 TEST(RecoveryMetricsTest, LossThenRecovery) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(5, 0, 100.0);
   EXPECT_TRUE(m.wasLost(5, 0));
   EXPECT_FALSE(m.isRecovered(5, 0));
@@ -27,7 +39,7 @@ TEST(RecoveryMetricsTest, LossThenRecovery) {
 }
 
 TEST(RecoveryMetricsTest, DuplicateRecoveryIgnored) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(5, 0, 100.0);
   EXPECT_TRUE(m.recordRecovery(5, 0, 130.0));
   EXPECT_FALSE(m.recordRecovery(5, 0, 140.0));
@@ -36,13 +48,13 @@ TEST(RecoveryMetricsTest, DuplicateRecoveryIgnored) {
 }
 
 TEST(RecoveryMetricsTest, RecoveryWithoutLossIgnored) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   EXPECT_FALSE(m.recordRecovery(5, 0, 130.0));
   EXPECT_EQ(m.recoveries(), 0u);
 }
 
 TEST(RecoveryMetricsTest, DuplicateLossThrows) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(5, 0, 100.0);
   EXPECT_THROW(m.recordLoss(5, 0, 200.0), std::logic_error);
 }
@@ -50,14 +62,14 @@ TEST(RecoveryMetricsTest, DuplicateLossThrows) {
 TEST(RecoveryMetricsTest, EarlyRepairClampsToZero) {
   // Repair arriving before the scheduled detection => latency 0, not
   // negative.
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(5, 0, 100.0);
   EXPECT_TRUE(m.recordRecovery(5, 0, 80.0));
   EXPECT_DOUBLE_EQ(m.latency().mean(), 0.0);
 }
 
 TEST(RecoveryMetricsTest, DistinguishesClientsAndSequences) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(1, 7, 0.0);
   m.recordLoss(2, 7, 0.0);
   m.recordLoss(1, 8, 0.0);
@@ -69,7 +81,7 @@ TEST(RecoveryMetricsTest, DistinguishesClientsAndSequences) {
 }
 
 TEST(RecoveryMetricsTest, AvgBandwidth) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(1, 0, 0.0);
   m.recordLoss(2, 0, 0.0);
   m.recordRecovery(1, 0, 5.0);
@@ -77,13 +89,38 @@ TEST(RecoveryMetricsTest, AvgBandwidth) {
   EXPECT_DOUBLE_EQ(m.avgBandwidthHops(50), 25.0);
 }
 
-TEST(RecoveryMetricsTest, RejectsHugeSequence) {
+TEST(RecoveryMetricsTest, RecordingOutsideSizedTablesThrows) {
+  RecoveryMetrics m = sizedMetrics();
+  EXPECT_THROW(m.recordLoss(9, 0, 0.0), std::out_of_range);   // no row
+  EXPECT_THROW(m.recordLoss(1, 16, 0.0), std::out_of_range);  // no column
+  EXPECT_THROW(m.recordTimeout(10), std::out_of_range);       // no node
+  EXPECT_EQ(m.losses(), 0u);
+  EXPECT_EQ(m.timeouts(), 0u);
+  const net::NodeId outside[] = {10};
+  EXPECT_THROW(m.addAgents(10, outside), std::invalid_argument);
+}
+
+TEST(RecoveryMetricsTest, AgentRowsFollowRegistrationOrder) {
   RecoveryMetrics m;
+  const net::NodeId first[] = {7, 3};
+  const net::NodeId second[] = {3, 5};
+  m.addAgents(8, first);
+  m.addAgents(8, second);  // 3 keeps its row
+  EXPECT_EQ(m.agentRows(), 3u);
+  EXPECT_EQ(m.agentRow(7), 0u);
+  EXPECT_EQ(m.agentRow(3), 1u);
+  EXPECT_EQ(m.agentRow(5), 2u);
+  EXPECT_EQ(m.agentRow(0), RecoveryMetrics::kNoRow);
+  EXPECT_EQ(m.agentRow(100), RecoveryMetrics::kNoRow);
+}
+
+TEST(RecoveryMetricsTest, RejectsHugeSequence) {
+  RecoveryMetrics m = sizedMetrics();
   EXPECT_THROW(m.recordLoss(1, 1ULL << 40, 0.0), std::invalid_argument);
 }
 
 TEST(RecoveryMetricsTest, AbandonWritesOffPendingLossesOnly) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(5, 0, 100.0);
   m.recordLoss(5, 1, 110.0);
   m.recordLoss(6, 0, 100.0);
@@ -105,7 +142,7 @@ TEST(RecoveryMetricsTest, AbandonWritesOffPendingLossesOnly) {
 }
 
 TEST(RecoveryMetricsTest, OutstandingExcludesAbandoned) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(1, 0, 0.0);
   m.recordLoss(2, 0, 0.0);
   EXPECT_EQ(m.outstanding(), 2u);
@@ -116,7 +153,7 @@ TEST(RecoveryMetricsTest, OutstandingExcludesAbandoned) {
 }
 
 TEST(RecoveryMetricsTest, ResilienceCountersAccumulate) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   EXPECT_EQ(m.retries(), 0u);
   EXPECT_EQ(m.timeouts(), 0u);
   m.recordRetry();
@@ -132,14 +169,13 @@ TEST(RecoveryMetricsTest, ResilienceCountersAccumulate) {
   EXPECT_EQ(m.timeoutsFor(7), 2u);
   EXPECT_EQ(m.timeoutsFor(9), 1u);
   EXPECT_EQ(m.timeoutsFor(8), 0u);  // never timed out
-  EXPECT_EQ(m.timeoutsByTarget().size(), 2u);
   EXPECT_EQ(m.blacklistEvents(), 1u);
   EXPECT_EQ(m.failovers(), 1u);
   EXPECT_EQ(m.sourceFallbacks(), 1u);
 }
 
 TEST(RecoveryMetricsTest, AbandonLossWritesOffOneSessionExplicitly) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(3, 7, 100.0);
   m.recordLoss(3, 8, 100.0);
 
@@ -168,7 +204,7 @@ TEST(RecoveryMetricsTest, AbandonLossWritesOffOneSessionExplicitly) {
 }
 
 TEST(RecoveryMetricsTest, AbandonedSessionsExcludesCrashWriteOffs) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   m.recordLoss(1, 0, 0.0);
   m.recordLoss(2, 0, 0.0);
   EXPECT_TRUE(m.abandonLoss(1, 0));
@@ -178,7 +214,7 @@ TEST(RecoveryMetricsTest, AbandonedSessionsExcludesCrashWriteOffs) {
 }
 
 TEST(RecoveryMetricsTest, LatencyDistribution) {
-  RecoveryMetrics m;
+  RecoveryMetrics m = sizedMetrics();
   for (std::uint64_t i = 0; i < 10; ++i) {
     m.recordLoss(1, i, 0.0);
     m.recordRecovery(1, i, static_cast<double>(i * 10));

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace rmrn::sim {
 namespace {
@@ -306,6 +311,174 @@ TEST(EventQueueCompactionTest, SlotSlabReusedUnderChurn) {
     EXPECT_EQ(q.pendingCount(), 0u);
   }
   EXPECT_TRUE(q.empty());
+}
+
+// ---- Differential order check ---------------------------------------------
+
+/// Seeded differential test of the heap's total order: >= 100k random
+/// schedule / cancel / fire operations on both lanes, checked against a
+/// reference ordered by (time, insertion index) — exactly what a stable sort
+/// of the pending set by time yields.  The time mix forces exact ties,
+/// negative times before the first pop, -0.0 vs +0.0 ties (which must
+/// resolve in insertion order) and cancel bursts that trigger compaction.
+TEST(EventQueueOrderTest, MatchesStableReferenceOrderUnderRandomChurn) {
+  EventQueue q;
+  util::Rng rng(0x5eed);
+  // Reference: pending events keyed by (time, insertion index).  -0.0 and
+  // +0.0 compare equal, so the index breaks their tie like any other.
+  std::set<std::pair<double, std::uint64_t>> reference;
+  struct Pending {
+    EventId id;
+    double time;
+    std::uint64_t index;
+  };
+  std::vector<Pending> pending;  // for picking cancel victims
+  std::vector<std::uint64_t> fired;
+
+  class IndexSink final : public EventSink {
+   public:
+    explicit IndexSink(std::vector<std::uint64_t>& out) : out_(out) {}
+    void onEvent(const EventRecord& event) override {
+      out_.push_back(event.data.timer.a);
+    }
+
+   private:
+    std::vector<std::uint64_t>& out_;
+  } sink(fired);
+
+  std::uint64_t next_index = 0;
+  bool popped = false;
+  double clock = 0.0;  // last fired time (meaningful once popped)
+  std::uint64_t ops = 0;
+  std::size_t compactions = 0;
+  std::size_t zero_time_fires = 0;  // both signed zeros fire as one tie run
+
+  const auto pick_time = [&]() -> double {
+    const std::uint64_t kind = rng.uniformInt(10);
+    if (!popped) {
+      // Before the first pop any finite time is legal: negative times, both
+      // zeros and a coarse grid that produces exact ties.
+      if (kind == 0) return -0.0;
+      if (kind == 1) return 0.0;
+      if (kind <= 5) return 0.5 * static_cast<double>(rng.uniformInt(41)) - 10.0;
+      return rng.uniformReal(-50.0, 50.0);
+    }
+    // Afterwards times stay at or after the clock; ties with the clock
+    // itself and on a coarse grid above it.
+    if (kind == 0) return clock;
+    if (kind <= 5) {
+      return std::ceil(clock) + 0.25 * static_cast<double>(rng.uniformInt(17));
+    }
+    return clock + rng.uniformReal(0.0, 20.0);
+  };
+  const auto schedule = [&](double time) {
+    const std::uint64_t index = next_index++;
+    EventId id;
+    if (index % 2 == 0) {
+      EventRecord record{EventKind::kTimer, {}};
+      record.data.timer = TimerEvent{0, index, 0, 0};
+      id = q.scheduleEvent(time, &sink, record);
+    } else {
+      id = q.schedule(time, [&fired, index] { fired.push_back(index); });
+    }
+    reference.emplace(time, index);
+    pending.push_back(Pending{id, time, index});
+  };
+  const auto cancel_random = [&] {
+    const std::size_t victim = static_cast<std::size_t>(
+        rng.uniformInt(pending.size()));
+    const std::size_t heap_before = q.heapSize();
+    ASSERT_TRUE(q.cancel(pending[victim].id));
+    if (q.heapSize() < heap_before) ++compactions;
+    reference.erase({pending[victim].time, pending[victim].index});
+    pending[victim] = pending.back();
+    pending.pop_back();
+  };
+  const auto fire_one = [&] {
+    ASSERT_FALSE(reference.empty());
+    const auto expected = *reference.begin();
+    reference.erase(reference.begin());
+    const std::size_t before = fired.size();
+    double time = 0.0;
+    switch (ops % 3) {
+      case 0: {
+        auto event = q.pop();
+        time = event.time;
+        event.fire();
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(q.fireNext(std::numeric_limits<double>::infinity(), &time));
+        break;
+      default:
+        time = q.popAndFire();
+    }
+    ASSERT_EQ(fired.size(), before + 1);
+    ASSERT_EQ(fired.back(), expected.second) << "op " << ops;
+    ASSERT_EQ(time, expected.first) << "op " << ops;
+    if (time == 0.0) ++zero_time_fires;
+    popped = true;
+    clock = time;
+    const auto it = std::find_if(pending.begin(), pending.end(),
+                                 [&](const Pending& p) {
+                                   return p.index == expected.second;
+                                 });
+    ASSERT_NE(it, pending.end());
+    *it = pending.back();
+    pending.pop_back();
+  };
+
+  // Phase 1: a pre-pop burst with negative times and both zeros.
+  for (int i = 0; i < 3000; ++i, ++ops) schedule(pick_time());
+  // ...fired mostly in order, so the negative and zero-time ties all fire.
+  for (int i = 0; i < 2000; ++i, ++ops) {
+    fire_one();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Phase 2: random churn.  Cancel bursts let dead entries outnumber live
+  // ones 2:1, which triggers compaction.
+  while (ops < 120000) {
+    const std::uint64_t roll = rng.uniformInt(100);
+    if (roll < 45 || pending.empty()) {
+      schedule(pick_time());
+    } else if (roll < 70) {
+      cancel_random();
+    } else if (roll < 72) {
+      const std::size_t burst = pending.size() * 3 / 4;
+      for (std::size_t i = 0; i < burst; ++i) cancel_random();
+    } else {
+      fire_one();
+    }
+    ++ops;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Drain.
+  while (!reference.empty()) {
+    fire_one();
+    ++ops;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GE(ops, 100000u);
+  EXPECT_GT(compactions, 0u);
+  EXPECT_GT(zero_time_fires, 1u);
+}
+
+TEST(EventQueueOrderTest, SignedZeroTiesFireInInsertionOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.0, [&] { order.push_back(0); });
+  q.schedule(-0.0, [&] { order.push_back(1); });
+  q.schedule(-1.0, [&] { order.push_back(2); });
+  q.schedule(0.0, [&] { order.push_back(3); });
+  q.schedule(-0.0, [&] { order.push_back(4); });
+  q.schedule(-std::numeric_limits<double>::denorm_min(),
+             [&] { order.push_back(5); });
+  q.schedule(std::numeric_limits<double>::denorm_min(),
+             [&] { order.push_back(6); });
+  EXPECT_DOUBLE_EQ(q.nextTime(), -1.0);
+  while (!q.empty()) q.pop().fire();
+  EXPECT_EQ(order, (std::vector<int>{2, 5, 0, 1, 3, 4, 6}));
 }
 
 }  // namespace

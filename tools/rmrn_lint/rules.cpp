@@ -42,7 +42,7 @@ bool inDetTwoScope(const std::string& path) {
 }
 
 bool inHotScope(const std::string& path) {
-  static const std::array<const char*, 13> kHotFiles = {
+  static const std::array<const char*, 23> kHotFiles = {
       "sim/event_queue.hpp",
       "sim/event_queue.cpp",
       "sim/network.hpp",
@@ -56,6 +56,16 @@ bool inHotScope(const std::string& path) {
       "util/gf256.cpp",
       "protocols/coded_protocol.hpp",
       "protocols/coded_protocol.cpp",
+      "protocols/protocol.hpp",
+      "protocols/protocol.cpp",
+      "protocols/srm_protocol.hpp",
+      "protocols/srm_protocol.cpp",
+      "protocols/rp_protocol.hpp",
+      "protocols/rp_protocol.cpp",
+      "protocols/rma_protocol.hpp",
+      "protocols/rma_protocol.cpp",
+      "metrics/recovery_metrics.hpp",
+      "metrics/recovery_metrics.cpp",
   };
   return std::any_of(kHotFiles.begin(), kHotFiles.end(),
                      [&](const char* f) { return endsWith(path, f); });
