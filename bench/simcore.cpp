@@ -7,9 +7,12 @@
 //       ./simcore [--benchmark_filter=...]
 //   * JSON perf driver:
 //       ./simcore --json BENCH_simcore.json [--requests 250000] [--repeats 3]
-//     Writes BENCH_simcore.json (see README "Performance"): forwarding
-//     events/sec for the typed engine vs a faithful replica of the engine it
-//     replaced, timer-churn events/sec for the cancel-heavy lane, typed-lane
+//     Writes BENCH_simcore.json (see README "Performance"): forwarding wall
+//     time for the typed engine vs a faithful replica of the engine it
+//     replaced over identical work (requests served, deliveries and hop
+//     counts must match exactly; the typed engine resolves these lossless
+//     sends at send time, so it fires fewer events for the same work),
+//     timer-churn events/sec for the cancel-heavy lane, typed-lane
 //     pop+push cost at 1k/20k/100k pending events (queue hold), heap
 //     allocations per steady-state event (this binary links the counting
 //     allocator), and wall time for a seeded fig7-style experiment.
@@ -168,6 +171,7 @@ class LegacyNetwork {
   }
   void enableLinkAccounting(bool enabled) { link_accounting_ = enabled; }
   [[nodiscard]] std::uint64_t recoveryHops() const { return recovery_hops_; }
+  [[nodiscard]] std::uint64_t dataHops() const { return data_hops_; }
 
   void unicast(net::NodeId from, net::NodeId to, sim::Packet packet) {
     auto path = routing_.path(from, to);  // fresh vector per send
@@ -248,7 +252,10 @@ class LegacyNetwork {
   }
 
   void countHop(const sim::Packet& packet, net::NodeId from, net::NodeId to) {
-    if (packet.type == sim::Packet::Type::kData) return;
+    if (packet.type == sim::Packet::Type::kData) {
+      ++data_hops_;
+      return;
+    }
     ++recovery_hops_;
     if (link_accounting_) {
       ++link_load_[LinkId{std::min(from, to), std::max(from, to)}];
@@ -275,6 +282,7 @@ class LegacyNetwork {
   std::vector<bool> is_agent_;
   std::vector<std::uint64_t> deliveries_by_type_;
   bool link_accounting_ = false;
+  std::uint64_t data_hops_ = 0;
   std::uint64_t recovery_hops_ = 0;
   std::unordered_map<LinkId, std::uint64_t, LinkIdHash> link_load_;
 };
@@ -284,8 +292,27 @@ class LegacyNetwork {
 // Identical drive logic for both engines: client-to-client REQUEST
 // ping-pong chains (each delivery answers back to the sender, accumulating
 // per-hop accounting), with a whole-group flood and a forced-pattern source
-// multicast every 64th request.  Loss-free so the chains — and therefore the
-// event counts — are identical across engines.
+// multicast every 64th request.  Loss-free so the chains — requests served,
+// deliveries and hops — are identical across engines.  The typed engine
+// resolves loss-free sends at send time (one event per agent arrival, not
+// one per hop), so the two engines fire different event counts for the
+// same work; they are compared on wall time.
+
+/// What one forwarding campaign did: the work both engines must agree on,
+/// plus the events each fired for it.
+struct ForwardingRun {
+  std::uint64_t events = 0;
+  std::uint64_t requests = 0;    // REQUEST deliveries answered
+  std::uint64_t deliveries = 0;  // delivery-handler invocations
+  std::uint64_t data_hops = 0;
+  std::uint64_t recovery_hops = 0;
+
+  [[nodiscard]] bool sameWork(const ForwardingRun& other) const {
+    return requests == other.requests && deliveries == other.deliveries &&
+           data_hops == other.data_hops &&
+           recovery_hops == other.recovery_hops;
+  }
+};
 
 template <typename Net, typename Sim>
 class ForwardingWorkload {
@@ -305,10 +332,12 @@ class ForwardingWorkload {
         });
   }
 
-  /// One campaign: seeds the chains, drains the queue, returns the events
-  /// the engine processed.  Callable repeatedly on the same warmed network.
-  std::uint64_t run() {
+  /// One campaign: seeds the chains and drains the queue.  Returns the
+  /// events the engine processed plus the requests answered and deliveries
+  /// made.  Callable repeatedly on the same warmed network.
+  ForwardingRun run() {
     requests_ = 0;
+    deliveries_ = 0;
     const std::uint64_t before = sim_.eventsProcessed();
     const auto& clients = topo_.clients;
     for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -317,11 +346,16 @@ class ForwardingWorkload {
       net_.unicast(clients[i], clients[(i + 1) % clients.size()], packet);
     }
     sim_.run();
-    return sim_.eventsProcessed() - before;
+    ForwardingRun result;
+    result.events = sim_.eventsProcessed() - before;
+    result.requests = std::min(requests_, target_requests_);
+    result.deliveries = deliveries_;
+    return result;
   }
 
  private:
   void onDeliver(net::NodeId at, const sim::Packet& packet) {
+    ++deliveries_;
     if (packet.type != sim::Packet::Type::kRequest) return;
     if (++requests_ > target_requests_) return;
     sim::Packet reply = packet;
@@ -343,6 +377,7 @@ class ForwardingWorkload {
   std::uint64_t target_requests_;
   sim::LinkLossPattern no_loss_;
   std::uint64_t requests_ = 0;
+  std::uint64_t deliveries_ = 0;
 };
 
 net::Topology makeTopology(std::uint32_t nodes, std::uint64_t seed) {
@@ -352,24 +387,30 @@ net::Topology makeTopology(std::uint32_t nodes, std::uint64_t seed) {
   return net::generateTopology(config, rng);
 }
 
-std::uint64_t runLegacyForwarding(const net::Topology& topo,
+ForwardingRun runLegacyForwarding(const net::Topology& topo,
                                   const net::Routing& routing,
                                   std::uint64_t target_requests) {
   LegacySimulator simulator;
   LegacyNetwork network(simulator, topo, routing, 0.0, util::Rng(11));
   network.enableLinkAccounting(true);
   ForwardingWorkload workload(network, simulator, topo, target_requests);
-  return workload.run();
+  ForwardingRun run = workload.run();
+  run.data_hops = network.dataHops();
+  run.recovery_hops = network.recoveryHops();
+  return run;
 }
 
-std::uint64_t runTypedForwarding(const net::Topology& topo,
+ForwardingRun runTypedForwarding(const net::Topology& topo,
                                  const net::Routing& routing,
                                  std::uint64_t target_requests) {
   sim::Simulator simulator;
   sim::SimNetwork network(simulator, topo, routing, 0.0, util::Rng(11));
   network.enableLinkAccounting(true);
   ForwardingWorkload workload(network, simulator, topo, target_requests);
-  return workload.run();
+  ForwardingRun run = workload.run();
+  run.data_hops = network.stats().data_hops;
+  run.recovery_hops = network.stats().recovery_hops;
+  return run;
 }
 
 // --- Timer-churn workload -------------------------------------------------
@@ -539,13 +580,15 @@ void BM_LegacyForwarding(benchmark::State& state) {
   const auto requests = static_cast<std::uint64_t>(state.range(0));
   const net::Topology topo = makeTopology(120, 7);
   const net::Routing routing(topo.graph);
-  std::uint64_t events = 0;
+  std::uint64_t served = 0;
   for (auto _ : state) {
-    events = runLegacyForwarding(topo, routing, requests);
-    benchmark::DoNotOptimize(events);
+    served = runLegacyForwarding(topo, routing, requests).requests;
+    benchmark::DoNotOptimize(served);
   }
+  // Requests served, not events: the engines fire different event counts
+  // for the same requests.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
+                          static_cast<std::int64_t>(served));
 }
 BENCHMARK(BM_LegacyForwarding)->Arg(50000)->Unit(benchmark::kMillisecond);
 
@@ -553,13 +596,15 @@ void BM_TypedForwarding(benchmark::State& state) {
   const auto requests = static_cast<std::uint64_t>(state.range(0));
   const net::Topology topo = makeTopology(120, 7);
   const net::Routing routing(topo.graph);
-  std::uint64_t events = 0;
+  std::uint64_t served = 0;
   for (auto _ : state) {
-    events = runTypedForwarding(topo, routing, requests);
-    benchmark::DoNotOptimize(events);
+    served = runTypedForwarding(topo, routing, requests).requests;
+    benchmark::DoNotOptimize(served);
   }
+  // Requests served, not events: the engines fire different event counts
+  // for the same requests.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
+                          static_cast<std::int64_t>(served));
 }
 BENCHMARK(BM_TypedForwarding)->Arg(50000)->Unit(benchmark::kMillisecond);
 
@@ -617,31 +662,38 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
             << " requests x " << repeats << " repeat(s)\n";
   double legacy_fwd_ms = 0.0;
   double typed_fwd_ms = 0.0;
-  std::uint64_t legacy_fwd_events = 0;
-  std::uint64_t typed_fwd_events = 0;
+  ForwardingRun legacy_fwd;
+  ForwardingRun typed_fwd;
   for (unsigned r = 0; r < repeats; ++r) {
     const double lm = wallMs(
-        [&] { legacy_fwd_events = runLegacyForwarding(topo, routing, requests); });
+        [&] { legacy_fwd = runLegacyForwarding(topo, routing, requests); });
     const double tm = wallMs(
-        [&] { typed_fwd_events = runTypedForwarding(topo, routing, requests); });
+        [&] { typed_fwd = runTypedForwarding(topo, routing, requests); });
     legacy_fwd_ms = r == 0 ? lm : std::min(legacy_fwd_ms, lm);
     typed_fwd_ms = r == 0 ? tm : std::min(typed_fwd_ms, tm);
   }
-  if (legacy_fwd_events != typed_fwd_events) {
-    std::cerr << "engine event counts diverged: legacy " << legacy_fwd_events
-              << " vs typed " << typed_fwd_events << "\n";
+  if (!legacy_fwd.sameWork(typed_fwd)) {
+    std::cerr << "forwarding work diverged: legacy " << legacy_fwd.requests
+              << " requests / " << legacy_fwd.deliveries << " deliveries / "
+              << legacy_fwd.data_hops << "+" << legacy_fwd.recovery_hops
+              << " hops vs typed " << typed_fwd.requests << " / "
+              << typed_fwd.deliveries << " / " << typed_fwd.data_hops << "+"
+              << typed_fwd.recovery_hops << "\n";
     return 1;
   }
   const double legacy_fwd_eps =
-      static_cast<double>(legacy_fwd_events) / (legacy_fwd_ms / 1000.0);
+      static_cast<double>(legacy_fwd.events) / (legacy_fwd_ms / 1000.0);
   const double typed_fwd_eps =
-      static_cast<double>(typed_fwd_events) / (typed_fwd_ms / 1000.0);
+      static_cast<double>(typed_fwd.events) / (typed_fwd_ms / 1000.0);
+  // Same requests, deliveries and hops on both sides: the speedup is the
+  // wall-time ratio, not an events/sec ratio over different event counts.
   const double fwd_speedup =
-      legacy_fwd_eps > 0.0 ? typed_fwd_eps / legacy_fwd_eps : 0.0;
-  std::cerr << "  legacy: " << legacy_fwd_ms << " ms (" << legacy_fwd_eps
-            << " events/sec)\n  typed:  " << typed_fwd_ms << " ms ("
-            << typed_fwd_eps << " events/sec)\n  speedup: " << fwd_speedup
-            << "x over " << typed_fwd_events << " events\n";
+      typed_fwd_ms > 0.0 ? legacy_fwd_ms / typed_fwd_ms : 0.0;
+  std::cerr << "  legacy: " << legacy_fwd_ms << " ms (" << legacy_fwd.events
+            << " events)\n  typed:  " << typed_fwd_ms << " ms ("
+            << typed_fwd.events << " events)\n  speedup: " << fwd_speedup
+            << "x over " << typed_fwd.requests << " requests, "
+            << typed_fwd.deliveries << " deliveries\n";
 
   const std::uint64_t churn_events = 2000000;
   std::cerr << "[simcore] timer churn, " << churn_events << " events\n";
@@ -686,7 +738,7 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
     ForwardingWorkload workload(network, simulator, topo, requests);
     workload.run();  // warm-up campaign sizes the slab, arenas and heap
     const util::AllocCounts before = util::allocCounts();
-    steady_events = workload.run();
+    steady_events = workload.run().events;
     const util::AllocCounts after = util::allocCounts();
     steady_allocs = after.allocations - before.allocations;
   }
@@ -768,7 +820,11 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
   harness::writeBenchEnvelope(out);
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"forwarding\": {\"requests\": " << requests
-      << ", \"events\": " << typed_fwd_events
+      << ", \"requests_served\": " << typed_fwd.requests
+      << ", \"deliveries\": " << typed_fwd.deliveries
+      << ", \"hops\": " << typed_fwd.data_hops + typed_fwd.recovery_hops
+      << ", \"events\": " << typed_fwd.events
+      << ", \"legacy_events\": " << legacy_fwd.events
       << ", \"legacy_wall_ms\": " << legacy_fwd_ms
       << ", \"legacy_events_per_sec\": " << legacy_fwd_eps
       << ", \"typed_wall_ms\": " << typed_fwd_ms

@@ -3,7 +3,7 @@
 // The simulator's hot path — link traversals, tree floods, agent deliveries
 // and protocol timers — used to be type-erased `std::function` closures, each
 // costing a heap allocation per scheduled event.  These records replace them:
-// every event the data plane schedules is one of four small trivially
+// every event the data plane schedules is one of five small trivially
 // copyable payloads stored inline in the EventQueue's slab (event_queue.hpp),
 // dispatched through a single `EventSink` virtual call on fire.  A fallback
 // closure lane remains for cold-path callers (harness drivers, fault
@@ -31,6 +31,7 @@ enum class EventKind : std::uint8_t {
   kForwardHop,  // a unicast packet finished traversing one routed link
   kFloodStep,   // a tree flood crossed one link and continues from `next`
   kTimer,       // protocol timer (loss detection, retries, suppression, ...)
+  kArrival,     // next agent arrival of a flood resolved at send time
 };
 
 /// Packet arrival at an agent.  `direct` skips the fault triage (used by the
@@ -64,6 +65,14 @@ struct FloodStepEvent {
   Packet packet;
 };
 
+/// Cursor of a flood resolved at send time: `flood` indexes SimNetwork's
+/// flood pool, whose arrival list holds the agent arrivals in firing order.
+/// One cursor is pending per flood; each firing delivers the next arrival
+/// and re-arms for the one after it.
+struct ArrivalEvent {
+  std::uint32_t flood;
+};
+
 /// Protocol timer: an opaque kind tag plus three payload words, dispatched
 /// back to the scheduling protocol (see RecoveryProtocol::onTimer).
 struct TimerEvent {
@@ -80,6 +89,7 @@ union EventData {
   DeliverEvent deliver;
   ForwardHopEvent forward;
   FloodStepEvent flood;
+  ArrivalEvent arrival;
   TimerEvent timer;
   std::uint32_t closure;  // index into EventQueue's closure slab
 

@@ -86,6 +86,25 @@ SimNetwork::SimNetwork(Simulator& simulator, const net::Topology& topology,
     if (v == tree.root()) continue;
     tree_slot_[tree.memberIndex(v)] = edgeSlot(tree.parent(v), v);
   }
+
+  // Flat tree layout for resolved walks: parent, member index and the
+  // children (in tree order) of every member, by NodeId.
+  walk_nodes_.assign(n, WalkNode{net::kInvalidNode, 0, 0, 0});
+  walk_children_.reserve(tree.numMembers());
+  for (const net::NodeId v : tree.members()) {
+    WalkNode& w = walk_nodes_[v];
+    if (v != tree.root()) w.parent = tree.parent(v);
+    w.member = static_cast<std::uint32_t>(tree.memberIndex(v));
+    w.child_begin = static_cast<std::uint32_t>(walk_children_.size());
+    for (const net::NodeId c : tree.children(v)) walk_children_.push_back(c);
+    w.child_end = static_cast<std::uint32_t>(walk_children_.size());
+  }
+  // A walk reaches each tree member at most once and a route visits each
+  // node at most once, so these never grow after construction.
+  num_agents_ = static_cast<std::size_t>(
+      std::count(is_agent_.begin(), is_agent_.end(), true));
+  frontier_.reserve(tree.numMembers());
+  route_.reserve(n);
 }
 
 std::uint32_t SimNetwork::edgeSlot(net::NodeId a, net::NodeId b) const {
@@ -158,6 +177,7 @@ void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
     case EventKind::kDeliver:
     case EventKind::kClosure:
     case EventKind::kTimer:
+    case EventKind::kArrival:
       break;
   }
   throw std::logic_error("SimNetwork: unexpected handoff kind");
@@ -274,7 +294,7 @@ bool SimNetwork::chaosDropped(std::uint32_t slot, net::NodeId from,
   if (!chaos_active_ || link_down_[edge_id_[slot]] == 0) return false;
   ++stats_.packets_lost;
   ++stats_.chaos_link_drops;
-  trace(TraceEvent::Kind::kHopDrop, from, to, packet);
+  trace(simulator_.now(), TraceEvent::Kind::kHopDrop, from, to, packet);
   return true;
 }
 
@@ -284,11 +304,9 @@ bool SimNetwork::chaosDuplicates(std::uint32_t slot) {
   return prob > 0.0 && chaos_rng_.bernoulli(prob);
 }
 
-void SimNetwork::trace(TraceEvent::Kind kind, net::NodeId from,
+void SimNetwork::trace(TimeMs at, TraceEvent::Kind kind, net::NodeId from,
                        net::NodeId to, const Packet& packet) {
-  if (trace_sink_) {
-    trace_sink_(TraceEvent{simulator_.now(), kind, from, to, packet});
-  }
+  if (trace_sink_) trace_sink_(TraceEvent{at, kind, from, to, packet});
 }
 
 net::DelayMs SimNetwork::treeLinkDelay(net::NodeId child) const {
@@ -406,6 +424,29 @@ void SimNetwork::patternRelease(std::uint32_t pattern) {
   if (--pattern_refs_[pattern] == 0) free_patterns_.push_back(pattern);
 }
 
+std::uint32_t SimNetwork::acquireFlood(const Packet& packet) {
+  std::uint32_t flood;
+  if (!free_floods_.empty()) {
+    flood = free_floods_.back();
+    free_floods_.pop_back();
+    floods_[flood].arrivals.clear();  // keeps the reserved capacity
+  } else {
+    flood = static_cast<std::uint32_t>(floods_.size());
+    // rmrn-lint: allow(HOT-1) pool warm-up: grows once per high-water mark, then slots recycle
+    floods_.emplace_back();
+    // A flood delivers to each agent at most once; reserving up front means
+    // no arrival list written into this slot ever reallocates, and the free
+    // list can take back every slot without growing.
+    // rmrn-lint: allow(HOT-1) pool warm-up: grows once per high-water mark, then slots recycle
+    floods_.back().arrivals.reserve(num_agents_);
+    // rmrn-lint: allow(HOT-1) pool warm-up: grows once per high-water mark, then slots recycle
+    free_floods_.reserve(floods_.size());
+  }
+  floods_[flood].packet = packet;
+  floods_[flood].next = 0;
+  return flood;
+}
+
 void SimNetwork::onEvent(const EventRecord& event) {
   switch (event.kind) {
     case EventKind::kDeliver:
@@ -420,6 +461,9 @@ void SimNetwork::onEvent(const EventRecord& event) {
       return;
     case EventKind::kFloodStep:
       onFloodStep(event.data.flood);
+      return;
+    case EventKind::kArrival:
+      onArrival(event.data.arrival);
       return;
     case EventKind::kClosure:
     case EventKind::kTimer:
@@ -460,7 +504,8 @@ void SimNetwork::deliverNow(net::NodeId at, const Packet& packet) {
   const std::size_t index =
       static_cast<std::size_t>(at) * 4 + static_cast<std::size_t>(packet.type);
   ++deliveries_by_type_[index];
-  trace(TraceEvent::Kind::kDeliver, net::kInvalidNode, at, packet);
+  trace(simulator_.now(), TraceEvent::Kind::kDeliver, net::kInvalidNode, at,
+        packet);
   handler_(at, packet);
 }
 
@@ -472,15 +517,22 @@ void SimNetwork::unicast(net::NodeId from, net::NodeId to, Packet packet) {
     simulator_.scheduleEventAfter(0.0, this, self);
     return;
   }
-  const std::uint32_t path = acquirePath();
-  routing_.pathInto(from, to, paths_[path]);
-  if (paths_[path].size() < 2) {
-    releasePath(path);
+  // A resolved send walks its route within this call, so it needs no slot.
+  const bool resolved = resolvesAtSend();
+  const std::uint32_t path = resolved ? kNilSlot : acquirePath();
+  std::vector<net::NodeId>& route = resolved ? route_ : paths_[path];
+  routing_.pathInto(from, to, route);
+  if (route.size() < 2) {
+    if (!resolved) releasePath(path);
     throw std::invalid_argument("SimNetwork::unicast: no route " +
                                 std::to_string(from) + " -> " +
                                 std::to_string(to));
   }
-  sendHop(path, 0, packet);
+  if (resolved) {
+    walkRoute(route, 0, simulator_.now(), packet);
+  } else {
+    sendHop(path, 0, packet);
+  }
 }
 
 void SimNetwork::sendHop(std::uint32_t path, std::uint32_t hop,
@@ -492,14 +544,14 @@ void SimNetwork::sendHop(std::uint32_t path, std::uint32_t hop,
   // doubles as the routing-uses-real-edges check: edgeSlot throws if not).
   const std::uint32_t slot = edgeSlot(a, b);
   countHopSlot(packet, slot);
-  trace(TraceEvent::Kind::kHopSend, a, b, packet);
+  trace(simulator_.now(), TraceEvent::Kind::kHopSend, a, b, packet);
   if (chaosDropped(slot, a, b, packet)) {
     releasePath(path);
     return;
   }
   if (rng_.bernoulli(loss_prob_)) {
     ++stats_.packets_lost;
-    trace(TraceEvent::Kind::kHopDrop, a, b, packet);
+    trace(simulator_.now(), TraceEvent::Kind::kHopDrop, a, b, packet);
     releasePath(path);
     return;
   }
@@ -545,7 +597,43 @@ void SimNetwork::onForwardHop(const ForwardHopEvent& event) {
     deliver(at, event.packet);
     return;
   }
+  if (resolvesAtSend()) {
+    // A route handed in from another region resumes resolved.
+    walkRoute(paths_[event.path], next, simulator_.now(), event.packet);
+    releasePath(event.path);
+    return;
+  }
   sendHop(event.path, next, event.packet);
+}
+
+void SimNetwork::walkRoute(const std::vector<net::NodeId>& route,
+                           std::uint32_t hop, TimeMs at,
+                           const Packet& packet) {
+  for (; hop + 1 < route.size(); ++hop) {
+    const net::NodeId a = route[hop];
+    const net::NodeId b = route[hop + 1];
+    const std::uint32_t slot = edgeSlot(a, b);
+    countHopSlot(packet, slot);
+    trace(at, TraceEvent::Kind::kHopSend, a, b, packet);
+    // Summed hop by hop, exactly as chained hop events advance the clock.
+    const TimeMs arrive = at + edge_delay_[slot];
+    if (!isShardLocal(b)) {
+      ShardHandoff handoff;
+      handoff.at = arrive;
+      handoff.kind = EventKind::kForwardHop;
+      handoff.packet = packet;
+      handoff.ufrom = route.front();
+      handoff.uto = route.back();
+      handoff.hop = hop;
+      ++handoffs_out_;
+      outbox_->emit(regions_->regionOf(b), handoff);
+      return;
+    }
+    at = arrive;
+  }
+  EventRecord record{EventKind::kDeliver, {}};
+  record.data.deliver = DeliverEvent{route.back(), /*direct=*/false, packet};
+  simulator_.scheduleEventAt(at, this, record);
 }
 
 void SimNetwork::multicastFromSource(Packet packet,
@@ -555,22 +643,28 @@ void SimNetwork::multicastFromSource(Packet packet,
     throw std::invalid_argument(
         "SimNetwork: forced loss pattern size mismatch");
   }
-  // Copy the pattern into the arena: the flood's scheduled events outlive
-  // the caller's argument.  In shard mode forced patterns MUST be staged
-  // (stageLossPattern) so their arena ids are meaningful in every region;
-  // the staged slot is pinned, so no release balances the lookup.
+  // In shard mode forced patterns MUST be staged (stageLossPattern) so
+  // their arena ids are meaningful in every region; the staged slot is
+  // pinned, so no release balances the lookup.
   std::uint32_t pattern = kNoPattern;
   bool staged = false;
-  if (forced_loss) {
-    if (regions_ != nullptr) {
-      RMRN_REQUIRE(packet.seq < staged_by_seq_.size(),
-                   "SimNetwork: shard-mode forced loss must be staged");
-      pattern = staged_by_seq_[packet.seq];
-      staged = true;
-    } else {
-      pattern = acquirePattern(*forced_loss);
-    }
+  if (forced_loss && regions_ != nullptr) {
+    RMRN_REQUIRE(packet.seq < staged_by_seq_.size(),
+                 "SimNetwork: shard-mode forced loss must be staged");
+    pattern = staged_by_seq_[packet.seq];
+    staged = true;
   }
+  if (resolvesAtSend()) {
+    // The walk reads the pattern before returning: no arena copy needed.
+    resolveFlood(topology_.tree.root(), net::kInvalidNode, packet,
+                 FloodScope{/*down_only=*/true, net::kInvalidNode,
+                            staged ? &patterns_[pattern] : forced_loss,
+                            pattern});
+    return;
+  }
+  // Copy the pattern into the arena: the flood's scheduled events outlive
+  // the caller's argument.
+  if (forced_loss && !staged) pattern = acquirePattern(*forced_loss);
   floodFrom(topology_.tree.root(), net::kInvalidNode, packet,
             /*down_only=*/true, /*boundary=*/net::kInvalidNode, pattern);
   if (pattern != kNoPattern && !staged) {
@@ -604,13 +698,24 @@ void SimNetwork::multicastDownInto(net::NodeId subtree_root, Packet packet) {
     return;
   }
   const net::NodeId parent = tree.parent(subtree_root);
+  if (resolvesAtSend()) {
+    const FloodScope scope{/*down_only=*/true, net::kInvalidNode, nullptr,
+                           kNoPattern};
+    // rmrn-lint: allow(HOT-1) reserved to the tree size at construction
+    frontier_.push_back(Frontier{simulator_.now(), parent, subtree_root,
+                                 walk_nodes_[subtree_root].member});
+    runFlood(packet, scope);
+    return;
+  }
   const std::uint32_t slot = tree_slot_[tree.memberIndex(subtree_root)];
   countHopSlot(packet, slot);
-  trace(TraceEvent::Kind::kHopSend, parent, subtree_root, packet);
+  trace(simulator_.now(), TraceEvent::Kind::kHopSend, parent, subtree_root,
+        packet);
   if (chaosDropped(slot, parent, subtree_root, packet)) return;
   if (rng_.bernoulli(loss_prob_)) {
     ++stats_.packets_lost;
-    trace(TraceEvent::Kind::kHopDrop, parent, subtree_root, packet);
+    trace(simulator_.now(), TraceEvent::Kind::kHopDrop, parent, subtree_root,
+          packet);
     return;
   }
   if (!isShardLocal(subtree_root)) {
@@ -647,19 +752,27 @@ void SimNetwork::multicastDownInto(net::NodeId subtree_root, Packet packet) {
 void SimNetwork::floodFrom(net::NodeId node, net::NodeId came_from,
                            const Packet& packet, bool down_only,
                            net::NodeId boundary, std::uint32_t pattern) {
+  if (resolvesAtSend()) {
+    resolveFlood(node, came_from, packet,
+                 FloodScope{down_only, boundary,
+                            pattern != kNoPattern ? &patterns_[pattern]
+                                                  : nullptr,
+                            pattern});
+    return;
+  }
   const auto& tree = topology_.tree;
 
   const auto sendAcross = [&](net::NodeId next, net::NodeId link_child) {
     const std::size_t member = tree.memberIndex(link_child);
     const std::uint32_t slot = tree_slot_[member];
     countHopSlot(packet, slot);
-    trace(TraceEvent::Kind::kHopSend, node, next, packet);
+    trace(simulator_.now(), TraceEvent::Kind::kHopSend, node, next, packet);
     if (chaosDropped(slot, node, next, packet)) return;
     const bool lost = pattern != kNoPattern ? patterns_[pattern][member]
                                             : rng_.bernoulli(loss_prob_);
     if (lost) {
       ++stats_.packets_lost;
-      trace(TraceEvent::Kind::kHopDrop, node, next, packet);
+      trace(simulator_.now(), TraceEvent::Kind::kHopDrop, node, next, packet);
       return;
     }
     if (!isShardLocal(next)) {
@@ -715,6 +828,98 @@ void SimNetwork::onFloodStep(const FloodStepEvent& event) {
   floodFrom(event.next, event.came_from, event.packet, event.down_only,
             event.boundary, event.pattern);
   if (event.pattern != kNoPattern) patternRelease(event.pattern);
+}
+
+void SimNetwork::resolveFlood(net::NodeId node, net::NodeId came_from,
+                              const Packet& packet, const FloodScope& scope) {
+  pushCrossings(node, came_from, simulator_.now(), scope);
+  runFlood(packet, scope);
+}
+
+void SimNetwork::pushCrossings(net::NodeId node, net::NodeId came_from,
+                               TimeMs at, const FloodScope& scope) {
+  // floodFrom's link order is the parent link, then the children; pushed
+  // in reverse, they pop in that order, so the walk runs in tree preorder.
+  const WalkNode& w = walk_nodes_[node];
+  for (std::uint32_t i = w.child_end; i-- > w.child_begin;) {
+    const net::NodeId child = walk_children_[i];
+    if (child == came_from) continue;
+    // rmrn-lint: allow(HOT-1) reserved to the tree size at construction; each member is crossed into at most once
+    frontier_.push_back(
+        Frontier{at, node, child, walk_nodes_[child].member});
+  }
+  if (!scope.down_only && node != scope.boundary &&
+      w.parent != net::kInvalidNode && w.parent != came_from) {
+    // rmrn-lint: allow(HOT-1) reserved to the tree size at construction; each member is crossed into at most once
+    frontier_.push_back(Frontier{at, node, w.parent, w.member});
+  }
+}
+
+void SimNetwork::runFlood(const Packet& packet, const FloodScope& scope) {
+  std::uint32_t flood = kNilSlot;
+  while (!frontier_.empty()) {
+    const Frontier c = frontier_.back();
+    frontier_.pop_back();
+    const std::uint32_t slot = tree_slot_[c.member];
+    countHopSlot(packet, slot);
+    trace(c.at, TraceEvent::Kind::kHopSend, c.from, c.to, packet);
+    if (scope.loss != nullptr && (*scope.loss)[c.member]) {
+      ++stats_.packets_lost;
+      trace(c.at, TraceEvent::Kind::kHopDrop, c.from, c.to, packet);
+      continue;
+    }
+    // Summed link by link, exactly as chained flood steps advance the clock.
+    const TimeMs arrive = c.at + edge_delay_[slot];
+    if (!isShardLocal(c.to)) {
+      ShardHandoff handoff;
+      handoff.at = arrive;
+      handoff.kind = EventKind::kFloodStep;
+      handoff.packet = packet;
+      handoff.next = c.to;
+      handoff.came_from = c.from;
+      handoff.boundary = scope.boundary;
+      handoff.pattern = scope.pattern;
+      handoff.down_only = scope.down_only;
+      ++handoffs_out_;
+      outbox_->emit(regions_->regionOf(c.to), handoff);
+      continue;
+    }
+    if (is_agent_[c.to]) {
+      if (flood == kNilSlot) flood = acquireFlood(packet);
+      auto& arrivals = floods_[flood].arrivals;
+      // rmrn-lint: allow(HOT-1) reserved to the agent count when the pool slot was created
+      arrivals.push_back(Arrival{arrive, c.to,
+                                 static_cast<std::uint32_t>(arrivals.size())});
+    }
+    pushCrossings(c.to, c.from, arrive, scope);
+  }
+  if (flood == kNilSlot) return;  // the flood reached no agent
+  // Firing order: by time, then tree preorder among arrivals at one instant.
+  auto& arrivals = floods_[flood].arrivals;
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return a.at != b.at ? a.at < b.at : a.preorder < b.preorder;
+            });
+  EventRecord record{EventKind::kArrival, {}};
+  record.data.arrival = ArrivalEvent{flood};
+  simulator_.scheduleEventAt(arrivals.front().at, this, record);
+}
+
+void SimNetwork::onArrival(const ArrivalEvent& event) {
+  Flood& flood = floods_[event.flood];
+  const Arrival arrival = flood.arrivals[flood.next++];
+  const Packet packet = flood.packet;  // the handler may recycle the slot
+  // Re-arm before delivering, so the next arrival keeps its place ahead of
+  // anything the handler schedules for the same instant.
+  if (flood.next < flood.arrivals.size()) {
+    EventRecord record{EventKind::kArrival, {}};
+    record.data.arrival = event;
+    simulator_.scheduleEventAt(flood.arrivals[flood.next].at, this, record);
+  } else {
+    // rmrn-lint: allow(HOT-1) free list reserved to the pool size when the pool grew
+    free_floods_.push_back(event.flood);
+  }
+  deliver(arrival.node, packet);
 }
 
 }  // namespace rmrn::sim

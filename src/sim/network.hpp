@@ -1,19 +1,33 @@
 // Packet-level network runtime on top of the discrete-event simulator.
 //
-// Unicast packets are forwarded hop by hop along shortest (expected-delay)
-// routing paths; multicasts flood over the multicast tree.  Every link
-// traversal samples an independent Bernoulli(p) loss and is accounted as one
+// Unicast packets follow shortest (expected-delay) routing paths; multicasts
+// flood over the multicast tree.  Every link traversal is accounted as one
 // "hop" of bandwidth, matching the paper's "average bandwidth usage per
-// packet recovered (hops)" metric.  Per §5.1 of the paper, link delay and
-// loss are independent of load.
+// packet recovered (hops)" metric, and may drop the packet: a forced
+// per-link pattern for data multicasts, otherwise an independent
+// Bernoulli(p) draw.  Per §5.1 of the paper, link delay and loss are
+// independent of load.
+//
+// Because delay and loss do not depend on load, a network that makes no
+// random draw while forwarding (p == 0 and chaos off) knows a packet's whole
+// path and every arrival time the moment it is sent.  Such a network
+// resolves each send at send time (DESIGN.md §3): a unicast walks its route
+// once and schedules a single delivery; a flood walks the tree once, records
+// its agent arrivals in firing order, and keeps one pending cursor event
+// that delivers them one by one.  Hops are counted and traced during the
+// walk, stamped with each hop's own time.  A lossy or chaotic network
+// forwards hop by hop instead, one event per link, so every loss, jitter and
+// duplication draw and every link-state read happens at traversal time.
+// Both modes deliver at the same times.
 //
 // The forwarding hot path is allocation-free at steady state: in-flight
-// events are typed records (sim/event.hpp) in the queue's slab, unicast
-// routes live in a recycled per-send path arena (one slot per in-flight
-// unicast, released on drop or delivery), forced loss patterns in a
-// refcounted pattern arena shared by every event of one flood, and per-link
-// recovery accounting is a flat vector indexed by a CSR edge table built
-// once at construction.
+// events are typed records (sim/event.hpp) in the queue's slab, hop-by-hop
+// unicast routes live in a recycled per-send path arena (one slot per
+// in-flight unicast, released on drop or delivery), forced loss patterns in
+// a refcounted pattern arena shared by every event of one flood, resolved
+// floods in a recycled flood pool (one arrival list per pending flood), and
+// per-link recovery accounting is a flat vector indexed by a CSR edge table
+// built once at construction.
 //
 // Protocol agents live at the source and the clients; the network invokes the
 // delivery handler only at those nodes (routers forward but never process).
@@ -162,8 +176,8 @@ class SimNetwork final : public EventSink {
   /// Cross-region packets this instance has emitted.
   [[nodiscard]] std::uint64_t handoffsEmitted() const { return handoffs_out_; }
 
-  /// Sends `packet` from `from` to `to` along the shortest path, hop by hop.
-  /// Loss on any hop silently drops the packet (recovery relies on timeouts).
+  /// Sends `packet` from `from` to `to` along the shortest path.  Loss on
+  /// any hop silently drops the packet (recovery relies on timeouts).
   void unicast(net::NodeId from, net::NodeId to, Packet packet);
 
   /// Source multicast down the tree.  When `forced_loss` is non-null it
@@ -219,7 +233,15 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
   [[nodiscard]] Simulator& simulator() { return simulator_; }
 
-  /// Typed-event dispatch (deliveries, forwarding hops, flood steps).
+  /// True when forwarding makes no random draw (no recovery loss, chaos
+  /// off), so every send is resolved at send time.  A property of the
+  /// network: it never depends on whether a trace sink is installed.
+  [[nodiscard]] bool resolvesAtSend() const {
+    return loss_prob_ == 0.0 && !chaos_active_;
+  }
+
+  /// Typed-event dispatch (deliveries, forwarding hops, flood steps,
+  /// resolved-flood cursors).
   void onEvent(const EventRecord& event) override;
 
  private:
@@ -239,12 +261,41 @@ class SimNetwork final : public EventSink {
   void floodFrom(net::NodeId node, net::NodeId came_from, const Packet& packet,
                  bool down_only, net::NodeId boundary, std::uint32_t pattern);
   void onFloodStep(const FloodStepEvent& event);
+
+  // Send-time resolution (resolvesAtSend()).  A resolved hop is counted and
+  // traced at its own time `at`; nothing is drawn.
+  /// Walks `route` from index `hop` (reached at `at`) to its end and
+  /// schedules the delivery, or emits the shard handoff where the route
+  /// leaves this region.
+  void walkRoute(const std::vector<net::NodeId>& route, std::uint32_t hop,
+                 TimeMs at, const Packet& packet);
+  /// What one resolved flood may cross: `loss` is its forced pattern
+  /// (nullptr = none) and `pattern` that pattern's arena id for handoffs.
+  struct FloodScope {
+    bool down_only;
+    net::NodeId boundary;
+    const LinkLossPattern* loss;
+    std::uint32_t pattern;
+  };
+  /// Resolves a flood leaving `node` (reached now, not delivered to).
+  void resolveFlood(net::NodeId node, net::NodeId came_from,
+                    const Packet& packet, const FloodScope& scope);
+  /// Puts the tree-link crossings leaving `node` (reached at `at`) on the
+  /// walk frontier, skipping the link back to `came_from`.
+  void pushCrossings(net::NodeId node, net::NodeId came_from, TimeMs at,
+                     const FloodScope& scope);
+  /// Runs the frontier's crossings depth first: counts and traces each hop,
+  /// applies the forced pattern, hands off at a region boundary, collects
+  /// the agent arrivals into a pooled flood in firing order and arms its
+  /// cursor.
+  void runFlood(const Packet& packet, const FloodScope& scope);
+  void onArrival(const ArrivalEvent& event);
   /// Counts a hop across the CSR half-edge `slot` — the hot paths resolve
   /// the slot once and reuse it for delay, edge id, and accounting.
   void countHopSlot(const Packet& packet, std::uint32_t slot);
   [[nodiscard]] net::DelayMs treeLinkDelay(net::NodeId child) const;
-  void trace(TraceEvent::Kind kind, net::NodeId from, net::NodeId to,
-             const Packet& packet);
+  void trace(TimeMs at, TraceEvent::Kind kind, net::NodeId from,
+             net::NodeId to, const Packet& packet);
 
   /// Link delay for the CSR half-edge `slot`, plus that edge's chaos jitter
   /// draw when armed.  Identical to edge_delay_[slot] with chaos off.
@@ -267,6 +318,7 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] std::uint32_t acquirePattern(const LinkLossPattern& loss);
   void patternAddRef(std::uint32_t pattern);
   void patternRelease(std::uint32_t pattern);
+  [[nodiscard]] std::uint32_t acquireFlood(const Packet& packet);
 
   /// Flat id of the undirected edge {a, b} in the CSR edge index; throws
   /// std::invalid_argument when absent.
@@ -300,6 +352,17 @@ class SimNetwork final : public EventSink {
   // CSR slot of each member's parent link, by memberIndex (kNilSlot for the
   // root): floods walk tree links only, so they never search the CSR.
   std::vector<std::uint32_t> tree_slot_;
+  // The tree for resolved walks, by NodeId: parent (kInvalidNode for the
+  // root), member index, and children walk_children_[child_begin,
+  // child_end) in tree order.
+  struct WalkNode {
+    net::NodeId parent;
+    std::uint32_t member;
+    std::uint32_t child_begin;
+    std::uint32_t child_end;
+  };
+  std::vector<WalkNode> walk_nodes_;
+  std::vector<net::NodeId> walk_children_;
   bool link_accounting_ = false;
   std::vector<std::uint64_t> link_load_;  // by undirected edge id
 
@@ -323,6 +386,34 @@ class SimNetwork final : public EventSink {
   std::vector<LinkLossPattern> patterns_;
   std::vector<std::uint32_t> pattern_refs_;
   std::vector<std::uint32_t> free_patterns_;
+
+  // Resolved floods: one pool slot per flood with a pending cursor.  Each
+  // arrival list is reserved to the agent count when its slot is created,
+  // so the pool grows only at a new peak of concurrently pending floods.
+  struct Arrival {
+    TimeMs at;
+    net::NodeId node;
+    std::uint32_t preorder;  // tie-break among arrivals at one instant
+  };
+  struct Flood {
+    Packet packet;
+    std::vector<Arrival> arrivals;  // firing order
+    std::uint32_t next = 0;         // the arrival the cursor delivers next
+  };
+  std::vector<Flood> floods_;
+  std::vector<std::uint32_t> free_floods_;
+  std::size_t num_agents_ = 0;
+  // Walk frontier of the flood being resolved: a stack of pending
+  // crossings from -> to of the tree link above `member`, leaving at `at`.
+  // Reserved to the tree size; empty between walks.
+  struct Frontier {
+    TimeMs at;
+    net::NodeId from;
+    net::NodeId to;
+    std::uint32_t member;
+  };
+  std::vector<Frontier> frontier_;
+  std::vector<net::NodeId> route_;  // resolved unicast route, reserved to n
 
   // Shard mode (all null/empty serially).  staged_by_seq_ maps data seq ->
   // pinned pattern arena id; identical in every region by construction.

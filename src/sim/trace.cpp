@@ -30,7 +30,19 @@ std::vector<TraceEvent> TraceRecorder::forSequence(std::uint64_t seq) const {
 }
 
 void TraceRecorder::dump(std::ostream& out) const {
-  for (const TraceEvent& e : events_) {
+  // A network that resolves sends at send time records each hop when the
+  // packet is sent, stamped with the hop's own time, so emission order is
+  // not time order.  ns-2 trace readers expect time order; the stable sort
+  // keeps emission order among records of one instant.
+  std::vector<const TraceEvent*> ordered;
+  ordered.reserve(events_.size());
+  for (const TraceEvent& e : events_) ordered.push_back(&e);
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->time_ms < b->time_ms;
+                   });
+  for (const TraceEvent* event : ordered) {
+    const TraceEvent& e = *event;
     out << toChar(e.kind) << ' ' << std::fixed << std::setprecision(3)
         << e.time_ms << ' ';
     if (e.from == net::kInvalidNode) {

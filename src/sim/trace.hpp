@@ -1,9 +1,12 @@
 // Packet-level tracing, in the spirit of ns-2 trace files.
 //
 // SimNetwork emits one TraceEvent per hop transmission, per-link drop and
-// agent delivery when a sink is installed (zero overhead otherwise).
+// agent delivery when a sink is installed (zero overhead otherwise).  Each
+// record carries its own simulated time.  A network that resolves sends at
+// send time (sim/network.hpp) emits a packet's hop records when it is sent,
+// so records arrive in emission order, not time order.
 // TraceRecorder collects events, answers simple queries and dumps an
-// ns-2-style ASCII trace ("+" send, "d" drop, "r" receive).
+// ns-2-style ASCII trace ("+" send, "d" drop, "r" receive) in time order.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +60,11 @@ class TraceRecorder {
   [[nodiscard]] std::size_t count(TraceEvent::Kind kind) const;
   [[nodiscard]] std::size_t countType(Packet::Type type) const;
 
-  /// Events concerning one data sequence number, in order.
+  /// Events concerning one data sequence number, in emission order.
   [[nodiscard]] std::vector<TraceEvent> forSequence(std::uint64_t seq) const;
 
-  /// ns-2-style dump: "<+|d|r> <time> <from> <to> <type> <seq>".
+  /// ns-2-style dump: "<+|d|r> <time> <from> <to> <type> <seq>", one line
+  /// per record, stably sorted by time (emission order within an instant).
   void dump(std::ostream& out) const;
 
  private:

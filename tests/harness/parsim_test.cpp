@@ -118,7 +118,9 @@ TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
   // With lossless recovery links the hot path consumes no decisive RNG
   // draws outside the pre-drawn (shared) data-loss patterns, so the
   // parallel run must agree with the serial engine exactly — integers
-  // bitwise, latency aggregates up to float summation order.
+  // bitwise, latency aggregates up to float summation order.  Lossless
+  // networks resolve sends at send time, so packets leaving a region are
+  // handed off from inside a resolved walk; every worker count must agree.
   const net::Topology topo = makeTopology(5, 60);
   TransferConfig config;
   config.protocol = ProtocolKind::kRp;
@@ -127,25 +129,31 @@ TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
   config.lossy_recovery = false;
   config.seed = 11;
   const TransferReport serial = runTransfer(topo, config);
-  const ParsimReport parallel =
-      runParallelTransfer(topo, config, parallelConfig(1));
   EXPECT_TRUE(serial.complete);
-  EXPECT_TRUE(parallel.transfer.complete);
-  EXPECT_EQ(parallel.transfer.losses, serial.losses);
-  EXPECT_EQ(parallel.transfer.recoveries, serial.recoveries);
-  EXPECT_EQ(parallel.transfer.data_hops, serial.data_hops);
-  EXPECT_EQ(parallel.transfer.recovery_hops, serial.recovery_hops);
-  EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
-  EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
-              serial.avg_recovery_latency_ms, 1e-9);
-  ASSERT_EQ(parallel.transfer.completions.size(), serial.completions.size());
-  for (std::size_t i = 0; i < serial.completions.size(); ++i) {
-    EXPECT_EQ(parallel.transfer.completions[i].client,
-              serial.completions[i].client);
-    EXPECT_DOUBLE_EQ(parallel.transfer.completions[i].completed_at_ms,
-                     serial.completions[i].completed_at_ms);
-    EXPECT_EQ(parallel.transfer.completions[i].losses,
-              serial.completions[i].losses);
+  for (const unsigned workers : {1U, 2U, 4U}) {
+    SCOPED_TRACE(workers);
+    const ParsimReport parallel =
+        runParallelTransfer(topo, config, parallelConfig(workers));
+    EXPECT_GE(parallel.regions, 2u);
+    EXPECT_GT(parallel.handoffs, 0u);
+    EXPECT_TRUE(parallel.transfer.complete);
+    EXPECT_EQ(parallel.transfer.losses, serial.losses);
+    EXPECT_EQ(parallel.transfer.recoveries, serial.recoveries);
+    EXPECT_EQ(parallel.transfer.data_hops, serial.data_hops);
+    EXPECT_EQ(parallel.transfer.recovery_hops, serial.recovery_hops);
+    EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
+    EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
+                serial.avg_recovery_latency_ms, 1e-9);
+    ASSERT_EQ(parallel.transfer.completions.size(),
+              serial.completions.size());
+    for (std::size_t i = 0; i < serial.completions.size(); ++i) {
+      EXPECT_EQ(parallel.transfer.completions[i].client,
+                serial.completions[i].client);
+      EXPECT_DOUBLE_EQ(parallel.transfer.completions[i].completed_at_ms,
+                       serial.completions[i].completed_at_ms);
+      EXPECT_EQ(parallel.transfer.completions[i].losses,
+                serial.completions[i].losses);
+    }
   }
 }
 

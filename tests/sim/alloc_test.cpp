@@ -3,9 +3,9 @@
 //
 // This binary links src/util/alloc_counter.cpp, which replaces the global
 // allocation operators with counting wrappers.  Each test runs one warm-up
-// campaign — growing the event-queue slab/heap, the path and pattern arenas
-// and the RNG state to their peak — then repeats the identical workload and
-// asserts the allocation counter did not move.
+// campaign — growing the event-queue slab/heap, the path and pattern arenas,
+// the resolved-flood pool and the RNG state to their peak — then repeats the
+// identical workload and asserts the allocation counter did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -93,6 +93,34 @@ TEST_F(DataPlaneAllocTest, TreeFloodsAreAllocationFree) {
                   topo_.clients.front(), 0};
     network_->multicastGroup(topo_.clients.front(), repair);
     network_->multicastDownInto(topo_.source, repair);
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(delivered_, 0u);
+}
+
+TEST_F(DataPlaneAllocTest, ResolvedForwardingIsAllocationFree) {
+  // A lossless network resolves sends at send time: unicasts need no path
+  // slot, and floods recycle pooled arrival lists reserved when created.
+  network_ = std::make_unique<SimNetwork>(simulator_, topo_, *routing_, 0.0,
+                                          util::Rng(11));
+  network_->enableLinkAccounting(true);
+  network_->setDeliveryHandler(
+      [this](net::NodeId, const Packet&) { ++delivered_; });
+  ASSERT_TRUE(network_->resolvesAtSend());
+  LinkLossPattern losses(topo_.tree.numMembers(), false);
+  losses[1] = true;
+  const auto allocs = steadyStateAllocations([this, &losses] {
+    Packet data{Packet::Type::kData, 4, topo_.source, topo_.source, 0};
+    network_->multicastFromSource(data, &losses);
+    Packet packet{Packet::Type::kRequest, 4, topo_.source, topo_.source, 0};
+    for (const net::NodeId client : topo_.clients) {
+      network_->unicast(topo_.source, client, packet);
+      network_->unicast(client, topo_.source, packet);
+      network_->multicastGroup(client, packet);
+    }
+    const net::NodeId leaf = topo_.clients.back();
+    network_->multicastSubtree(topo_.tree.parent(leaf), leaf, packet);
+    network_->multicastDownInto(leaf, packet);
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(delivered_, 0u);

@@ -15,14 +15,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "metrics/recovery_metrics.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "protocols/coded_protocol.hpp"
+#include "protocols/parity_protocol.hpp"
+#include "protocols/rma_protocol.hpp"
 #include "protocols/rp_protocol.hpp"
+#include "protocols/srm_protocol.hpp"
 #include "sim/loss_process.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -180,6 +187,129 @@ TEST(EngineDeterminismTest, FaultedRunMetricsBitIdentical) {
   expectGolden(result,
                {harness::ProtocolKind::kRp, 362, 358, 61.823679899161782,
                 7.7849162011173183, 2787, 2387, 145, 237, 0, 0, 0});
+}
+
+// FNV-1a over the raw bytes of one value, chained through `h`.
+template <typename T>
+void fnv1aMix(std::uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+}
+
+struct DeliveryGolden {
+  const char* arm;
+  std::uint64_t deliveries;
+  std::uint64_t hash;  // FNV-1a over every kDeliver record, emission order
+  std::size_t losses;
+  std::size_t recoveries;
+  double latency;
+  std::uint64_t recovery_hops;
+  std::uint64_t data_hops;
+};
+
+// Delivery order of a lossless-recovery run (the paper's setting: data loss
+// from forced per-link patterns, requests and repairs never lost), all five
+// arms against identical draws (n=120, p=5%, 60 packets).  Each arm's world
+// is built from public parts so every agent delivery is traced; the hash
+// covers the time, node and packet fields of each kDeliver record in the
+// order the network emits them.  These values were captured while lossless
+// forwarding still ran one event per link hop; resolving it at send time
+// must reproduce every delivery at the same time, node and rank.
+TEST(EngineDeterminismTest, LosslessDeliveryOrderBitIdentical) {
+  util::Rng root(20030513);
+  net::TopologyConfig topo_config;
+  topo_config.num_nodes = 120;
+  util::Rng topo_rng = root.fork(1);
+  const net::Topology topo = net::generateTopology(topo_config, topo_rng);
+  const net::Routing routing(topo.graph);
+  const protocols::ProtocolConfig config;
+  core::PlannerOptions options;
+  options.per_peer_timeout_factor = config.timeout_factor;
+  options.min_timeout_ms = config.min_timeout_ms;
+  const core::RpPlanner planner(topo, routing, options);
+  sim::BernoulliLossProcess loss(topo.tree.numMembers(), 0.05, root.fork(2));
+  std::vector<sim::LinkLossPattern> patterns(60);
+  for (auto& pattern : patterns) pattern = loss.nextPattern();
+
+  const DeliveryGolden goldens[] = {
+      {"SRM", 43411, 0xfc3533b85a737004ULL, 1337, 1337,
+       155.08568829243734, 113883, 3896},
+      {"RMA", 14500, 0x3d997f991dda4e63ULL, 1337, 1337,
+       111.14980465761705, 39447, 3896},
+      {"RP", 4471, 0xf23d6f274fb7b7fbULL, 1337, 1337,
+       62.051708637623285, 12013, 3896},
+      {"FEC", 12727, 0x72dabc40d6e44be7ULL, 1337, 1337,
+       33.83510053149972, 35350, 3896},
+      {"CODED", 11666, 0x7568325aa43899a8ULL, 1337, 1337,
+       26.655102773457479, 32489, 3896},
+  };
+  for (std::uint64_t arm = 0; arm < 5; ++arm) {
+    const DeliveryGolden& golden = goldens[arm];
+    SCOPED_TRACE(golden.arm);
+    sim::Simulator simulator;
+    sim::SimNetwork network(simulator, topo, routing, 0.0,
+                            root.fork(100 + arm));
+    metrics::RecoveryMetrics metrics;
+    std::unique_ptr<protocols::RecoveryProtocol> protocol;
+    switch (arm) {
+      case 0:
+        protocol = std::make_unique<protocols::SrmProtocol>(
+            network, metrics, config, protocols::SrmConfig{},
+            root.fork(150));
+        break;
+      case 1:
+        protocol =
+            std::make_unique<protocols::RmaProtocol>(network, metrics, config);
+        break;
+      case 2:
+        protocol = std::make_unique<protocols::RpProtocol>(
+            network, metrics, config, planner,
+            protocols::SourceRecoveryMode::kUnicast);
+        break;
+      case 3:
+        protocol = std::make_unique<protocols::ParityProtocol>(
+            network, metrics, config, protocols::ParityConfig{});
+        break;
+      default:
+        protocol = std::make_unique<protocols::CodedProtocol>(
+            network, metrics, config, protocols::CodedConfig{},
+            root.fork(160));
+        break;
+    }
+    std::uint64_t hash = 1469598103934665603ULL;
+    std::uint64_t deliveries = 0;
+    network.setTraceSink([&](const sim::TraceEvent& e) {
+      if (e.kind != sim::TraceEvent::Kind::kDeliver) return;
+      ++deliveries;
+      fnv1aMix(hash, e.time_ms);
+      fnv1aMix(hash, e.to);
+      fnv1aMix(hash, e.packet.type);
+      fnv1aMix(hash, e.packet.seq);
+      fnv1aMix(hash, e.packet.origin);
+      fnv1aMix(hash, e.packet.requester);
+      fnv1aMix(hash, e.packet.tag);
+    });
+    protocol->attach();
+    for (std::uint64_t i = 0; i < patterns.size(); ++i) {
+      simulator.scheduleAt(static_cast<double>(i) * 50.0,
+                           [&protocol, &patterns, i] {
+                             protocol->sourceMulticast(i, patterns[i]);
+                           });
+    }
+    simulator.run();
+
+    EXPECT_EQ(deliveries, golden.deliveries);
+    EXPECT_EQ(hash, golden.hash);
+    EXPECT_EQ(metrics.losses(), golden.losses);
+    EXPECT_EQ(metrics.recoveries(), golden.recoveries);
+    EXPECT_EQ(metrics.latency().mean(), golden.latency);
+    EXPECT_EQ(network.stats().recovery_hops, golden.recovery_hops);
+    EXPECT_EQ(network.stats().data_hops, golden.data_hops);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "net/routing.hpp"
@@ -114,6 +115,39 @@ TEST_F(TraceFixture, DumpFormat) {
   const std::string text = out.str();
   EXPECT_NE(text.find("+ 0.000 2 1 REQUEST 5"), std::string::npos);
   EXPECT_NE(text.find("r 5.000 - 3 REQUEST 5"), std::string::npos);
+}
+
+TEST_F(TraceFixture, DumpIsTimeOrderedForOverlappingLosslessFloods) {
+  // A lossless network resolves each flood when it is sent, so all of a
+  // flood's hop records are emitted at once with their future times: the
+  // source flood's t=1 hops are recorded before the group flood's t=0.5 hop.
+  network.multicastFromSource(
+      Packet{Packet::Type::kData, 0, 0, net::kInvalidNode, 0});
+  sim.scheduleAt(0.5, [this] {
+    network.multicastGroup(2, Packet{Packet::Type::kRepair, 1, 2, 2, 0});
+  });
+  sim.run();
+  const auto& events = recorder.events();
+  ASSERT_EQ(events.size(), 10u);
+  EXPECT_FALSE(std::is_sorted(
+      events.begin(), events.end(),
+      [](const TraceEvent& a, const TraceEvent& b) {
+        return a.time_ms < b.time_ms;
+      }));
+
+  std::ostringstream out;
+  recorder.dump(out);
+  EXPECT_EQ(out.str(),
+            "+ 0.000 0 1 DATA 0\n"
+            "+ 0.500 2 1 REPAIR 1\n"
+            "+ 1.000 1 2 DATA 0\n"
+            "+ 1.000 1 3 DATA 0\n"
+            "+ 2.500 1 0 REPAIR 1\n"
+            "+ 2.500 1 3 REPAIR 1\n"
+            "r 3.000 - 2 DATA 0\n"
+            "r 3.500 - 0 REPAIR 1\n"
+            "r 4.000 - 3 DATA 0\n"
+            "r 5.500 - 3 REPAIR 1\n");
 }
 
 TEST_F(TraceFixture, ClearResets) {

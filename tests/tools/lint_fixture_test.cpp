@@ -79,6 +79,17 @@ TEST(RmrnLint, Det1CleanOnSeededStream) {
   expectClean(runRule("DET-1", "det1_clean.cpp"));
 }
 
+TEST(RmrnLint, Det1FiresOnLibcTimeCalls) {
+  const RunResult r = runRule("DET-1", "det1_time_call_fire.cpp");
+  expectFindingAt(r, "det1_time_call_fire.cpp", 5, "DET-1");  // time(
+  expectFindingAt(r, "det1_time_call_fire.cpp", 6, "DET-1");  // std::time(
+  expectFindingAt(r, "det1_time_call_fire.cpp", 9, "DET-1");  // return time(
+}
+
+TEST(RmrnLint, Det1CleanOnMemberNamedTime) {
+  expectClean(runRule("DET-1", "det1_time_decl_clean.cpp"));
+}
+
 TEST(RmrnLint, Det1SuppressedWithReason) {
   expectClean(runRule("DET-1", "det1_suppressed.cpp"));
 }

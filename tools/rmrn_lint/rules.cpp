@@ -173,6 +173,18 @@ bool isUnorderedContainer(const std::string& text) {
          text == "unordered_multimap" || text == "unordered_multiset";
 }
 
+/// True when `prev` names a type, so a following `time(` declares a
+/// function (`TimeMs time() const`) rather than calling libc time().
+/// Keywords that introduce an expression (`return time(nullptr)`) are not
+/// type names.
+bool isTypeName(const Token* prev) {
+  static const std::set<std::string> kExpressionKeywords = {
+      "return", "co_return", "co_yield", "throw", "case", "else", "do",
+      "new", "delete", "sizeof", "not", "and", "or", "xor"};
+  return prev != nullptr && prev->kind == TokKind::kIdentifier &&
+         kExpressionKeywords.count(prev->text) == 0;
+}
+
 void runDetOne(const LexedFile& file, std::vector<Finding>& findings) {
   const std::vector<Token>& toks = file.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -194,8 +206,9 @@ void runDetOne(const LexedFile& file, std::vector<Finding>& findings) {
                                           "derive streams from an explicit "
                                           "seed (util::Rng)"});
     } else if (t.text == "time" && next != nullptr && isPunct(*next, "(") &&
-               !member_access) {
-      // `x.time(...)` is a member; bare `time(` or `std::time(` is libc.
+               !member_access && !isTypeName(prev)) {
+      // `x.time(...)` is a member and `T time(` a declaration; bare `time(`
+      // or `std::time(` is libc.
       bool qualified_non_std = false;
       if (prev != nullptr && isPunct(*prev, "::")) {
         const Token* qual = i >= 2 ? &toks[i - 2] : nullptr;
