@@ -77,9 +77,9 @@ struct ExperimentConfig {
 
   /// Process faults injected mid-run (DESIGN.md §9).  The same plan (and
   /// plan seed) picks identical victims for every protocol of a run, so
-  /// comparisons stay apples-to-apples.  A non-empty plan auto-enables
-  /// protocol.health (adaptive timeouts / blacklisting) unless the caller
-  /// set it explicitly.
+  /// comparisons stay apples-to-apples.  A non-empty plan always enables
+  /// protocol.health (adaptive timeouts / blacklisting), and link chaos
+  /// without a session deadline gets a 10 s watchdog.
   sim::FaultPlan faults;
 
   /// After an RP run, re-audit every adopted failover plan with
@@ -197,7 +197,8 @@ struct ExperimentResult {
     std::span<const ProtocolKind> kinds = kAllProtocols);
 
 /// Same semantics, fanning the independent repetitions out over `threads`
-/// worker threads (0 = hardware concurrency).  Runs are deterministic per
+/// worker threads (0 = hardware concurrency; clamped to it).  An exception
+/// from any repetition is rethrown here.  Runs are deterministic per
 /// seed and aggregated in seed order, so the result is bit-identical to the
 /// sequential version.
 [[nodiscard]] ExperimentResult runAveragedExperimentParallel(

@@ -3,14 +3,16 @@
 //
 // The topology is split into a canonical region set (sim/RegionMap) that
 // depends only on (topology, target_regions) — never on the worker count —
-// and each region gets a full private world: Simulator, SimNetwork in shard
-// mode, RecoveryMetrics, protocol instance, and (under faults) its own
-// FaultInjector replica.  Workers only change which thread advances a
-// region, so a seeded run is bit-identical for any worker count; that is
-// the determinism contract the parsim tests and the CI parsim-smoke job
-// pin.  Results may differ from the serial runTransfer() when recovery
-// traffic consumes RNG draws (per-region substreams), but match it exactly
-// when recovery links are lossless — see ParsimExactMatch in the tests.
+// and each region gets its own harness::World, sharing one planner and one
+// loss-pattern table read-only.  Workers only change which thread advances a
+// region, so a seeded run is bit-identical for any worker count; that is the
+// determinism contract the parsim tests and the CI parsim-smoke job pin.
+// Results may differ from the serial runTransfer() when recovery traffic
+// consumes RNG draws (per-region substreams).  With lossless recovery links
+// RP, SRC and RMA match it, as
+// ParsimTest.MatchesSerialHarnessWhenRecoveryLossless checks.  FEC may not:
+// a handoff takes its queue order when the barrier injects it, so it fires
+// after a same-time local timer that the serial engine fires after it.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ struct ParsimReport {
 /// Runs one transfer over `topology` on the parallel engine.  Deterministic
 /// in (topology, config, parallel.target_regions, faults) — the worker
 /// count does not affect any reported value.  `faults` (optional) replays
-/// the same plan in every region, mirroring the serial chaos harness.
+/// the same plan in every region under the experiment driver's fault policy.
 [[nodiscard]] ParsimReport runParallelTransfer(
     const net::Topology& topology, const TransferConfig& config,
     const ParsimConfig& parallel, const sim::FaultPlan* faults = nullptr);

@@ -8,21 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::sim {
-
-/// Generates one LinkLossPattern per data packet over `num_links` tree
-/// links.  Call nextPattern() once per packet, in order.
-class LossProcess {
- public:
-  virtual ~LossProcess() = default;
-  [[nodiscard]] virtual LinkLossPattern nextPattern() = 0;
-};
 
 /// Reliable-network validity ceiling for the Lemma 1-3 loss model: the audit
 /// layer flags any Bernoulli process with p^2 above this.  0.09 (p <= 0.3)
@@ -33,12 +24,14 @@ class LossProcess {
 /// flip per link — which no reading of "reliable network" supports.)
 inline constexpr double kReliableNetworkMaxLossSquared = 0.09;
 
-/// The paper's model: independent Bernoulli(p) per link per packet.
-class BernoulliLossProcess final : public LossProcess {
+/// The paper's model: independent Bernoulli(p) per link per packet.  Each
+/// process yields one LinkLossPattern per data packet over `num_links` tree
+/// links; call nextPattern() once per packet, in order.
+class BernoulliLossProcess {
  public:
   BernoulliLossProcess(std::size_t num_links, double loss_prob,
                        util::Rng rng);
-  [[nodiscard]] LinkLossPattern nextPattern() override;
+  [[nodiscard]] LinkLossPattern nextPattern();
 
  private:
   std::size_t num_links_;
@@ -65,12 +58,12 @@ struct GilbertElliottConfig {
   [[nodiscard]] double stationaryLoss() const;
 };
 
-class GilbertElliottLossProcess final : public LossProcess {
+class GilbertElliottLossProcess {
  public:
   /// Each link starts in its stationary state distribution.
   GilbertElliottLossProcess(std::size_t num_links,
                             const GilbertElliottConfig& config, util::Rng rng);
-  [[nodiscard]] LinkLossPattern nextPattern() override;
+  [[nodiscard]] LinkLossPattern nextPattern();
 
  private:
   GilbertElliottConfig config_;

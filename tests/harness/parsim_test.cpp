@@ -1,13 +1,17 @@
 // Determinism and equivalence contracts of the parallel transfer harness
 // (DESIGN.md §14): worker-count invariance (always, including under link
-// chaos) and exact agreement with the serial harness when recovery links
-// are lossless.
+// chaos) and agreement with the serial harness for RP, SRC and RMA when
+// recovery links are lossless.
 #include "harness/parsim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "harness/transfer.hpp"
 #include "net/topology.hpp"
+#include "report_hash.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
@@ -116,44 +120,118 @@ TEST(ParsimTest, SingleRegionRunsUnbounded) {
 
 TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
   // With lossless recovery links the hot path consumes no decisive RNG
-  // draws outside the pre-drawn (shared) data-loss patterns, so the
-  // parallel run must agree with the serial engine exactly — integers
+  // draws outside the pre-drawn (shared) data-loss patterns, so for these
+  // schemes the parallel run agrees with the serial engine — integers
   // bitwise, latency aggregates up to float summation order.  Lossless
   // networks resolve sends at send time, so packets leaving a region are
   // handed off from inside a resolved walk; every worker count must agree.
+  // FEC is left out: it can differ where a handed-off NACK ties with a
+  // gather timer at the source (DESIGN.md §14).
   const net::Topology topo = makeTopology(5, 60);
+  for (const ProtocolKind kind :
+       {ProtocolKind::kRp, ProtocolKind::kSourceDirect, ProtocolKind::kRma}) {
+    SCOPED_TRACE(toString(kind));
+    TransferConfig config;
+    config.protocol = kind;
+    config.num_packets = 40;
+    config.loss_prob = 0.15;
+    config.lossy_recovery = false;
+    config.seed = 11;
+    const TransferReport serial = runTransfer(topo, config);
+    EXPECT_TRUE(serial.complete);
+    for (const unsigned workers : {1U, 2U, 4U}) {
+      SCOPED_TRACE(workers);
+      const ParsimReport parallel =
+          runParallelTransfer(topo, config, parallelConfig(workers));
+      EXPECT_GE(parallel.regions, 2u);
+      EXPECT_GT(parallel.handoffs, 0u);
+      EXPECT_TRUE(parallel.transfer.complete);
+      EXPECT_EQ(parallel.transfer.losses, serial.losses);
+      EXPECT_EQ(parallel.transfer.recoveries, serial.recoveries);
+      EXPECT_EQ(parallel.transfer.data_hops, serial.data_hops);
+      EXPECT_EQ(parallel.transfer.recovery_hops, serial.recovery_hops);
+      EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
+      EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
+                  serial.avg_recovery_latency_ms, 1e-9);
+      ASSERT_EQ(parallel.transfer.completions.size(),
+                serial.completions.size());
+      for (std::size_t i = 0; i < serial.completions.size(); ++i) {
+        EXPECT_EQ(parallel.transfer.completions[i].client,
+                  serial.completions[i].client);
+        EXPECT_DOUBLE_EQ(parallel.transfer.completions[i].completed_at_ms,
+                         serial.completions[i].completed_at_ms);
+        EXPECT_EQ(parallel.transfer.completions[i].losses,
+                  serial.completions[i].losses);
+      }
+    }
+  }
+}
+
+/// Golden pins of the parallel transfer: the transfer substream layout
+/// forked per region (root.fork(0x7000 + r)), 4 target regions, lossy
+/// recovery, at 1 and 4 workers.
+struct ParsimGolden {
+  ProtocolKind kind;
+  std::uint64_t hash;
+};
+
+void PrintTo(const ParsimGolden& golden, std::ostream* os) {
+  *os << toString(golden.kind);
+}
+
+class ParsimGoldenTest : public ::testing::TestWithParam<ParsimGolden> {};
+
+TEST_P(ParsimGoldenTest, LossyRecoveryReportIsPinned) {
+  const net::Topology topo = makeTopology(3);
+  TransferConfig config;
+  config.protocol = GetParam().kind;
+  config.num_packets = 40;
+  config.loss_prob = 0.1;
+  config.lossy_recovery = true;
+  config.seed = 19;
+  for (const unsigned workers : {1U, 4U}) {
+    SCOPED_TRACE(workers);
+    const ParsimReport report =
+        runParallelTransfer(topo, config, parallelConfig(workers));
+    EXPECT_TRUE(report.transfer.complete);
+    EXPECT_GT(report.handoffs, 0u);
+    EXPECT_EQ(reportHash(report.transfer), GetParam().hash)
+        << std::hex << reportHash(report.transfer);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ParsimGoldenTest,
+    ::testing::Values(ParsimGolden{ProtocolKind::kRp, 0xb6820f02bfbed29eULL},
+                      ParsimGolden{ProtocolKind::kSrm, 0x509361e679badbf4ULL}),
+    [](const auto& param_info) {
+      return std::string(toString(param_info.param.kind));
+    });
+
+TEST(ParsimTest, CrashPlanTurnsOnAdaptiveHealth) {
+  // One fault policy for every driver: a non-empty plan runs with adaptive
+  // health, exactly as if the caller had enabled it.
+  const net::Topology topo = makeTopology(8);
   TransferConfig config;
   config.protocol = ProtocolKind::kRp;
   config.num_packets = 40;
-  config.loss_prob = 0.15;
-  config.lossy_recovery = false;
-  config.seed = 11;
-  const TransferReport serial = runTransfer(topo, config);
-  EXPECT_TRUE(serial.complete);
-  for (const unsigned workers : {1U, 2U, 4U}) {
+  config.loss_prob = 0.1;
+  config.seed = 23;
+  sim::FaultPlan plan;
+  plan.seed = config.seed;
+  plan.crash_fraction = 0.15;
+  plan.at_ms = 50.0;
+  plan.stagger_ms = config.packet_interval_ms;
+  TransferConfig explicit_health = config;
+  explicit_health.protocol_config.health.enabled = true;
+  for (const unsigned workers : {1U, 4U}) {
     SCOPED_TRACE(workers);
-    const ParsimReport parallel =
-        runParallelTransfer(topo, config, parallelConfig(workers));
-    EXPECT_GE(parallel.regions, 2u);
-    EXPECT_GT(parallel.handoffs, 0u);
-    EXPECT_TRUE(parallel.transfer.complete);
-    EXPECT_EQ(parallel.transfer.losses, serial.losses);
-    EXPECT_EQ(parallel.transfer.recoveries, serial.recoveries);
-    EXPECT_EQ(parallel.transfer.data_hops, serial.data_hops);
-    EXPECT_EQ(parallel.transfer.recovery_hops, serial.recovery_hops);
-    EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
-    EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
-                serial.avg_recovery_latency_ms, 1e-9);
-    ASSERT_EQ(parallel.transfer.completions.size(),
-              serial.completions.size());
-    for (std::size_t i = 0; i < serial.completions.size(); ++i) {
-      EXPECT_EQ(parallel.transfer.completions[i].client,
-                serial.completions[i].client);
-      EXPECT_DOUBLE_EQ(parallel.transfer.completions[i].completed_at_ms,
-                       serial.completions[i].completed_at_ms);
-      EXPECT_EQ(parallel.transfer.completions[i].losses,
-                serial.completions[i].losses);
-    }
+    const ParsimReport implied =
+        runParallelTransfer(topo, config, parallelConfig(workers), &plan);
+    const ParsimReport stated = runParallelTransfer(
+        topo, explicit_health, parallelConfig(workers), &plan);
+    expectIdentical(implied, stated);
+    EXPECT_GT(implied.timeouts, 0u);
   }
 }
 

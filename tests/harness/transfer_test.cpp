@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
+#include "report_hash.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
@@ -59,7 +63,8 @@ TEST(TransferTest, AllProtocolsComplete) {
   const net::Topology topo = makeTopology(5);
   for (const ProtocolKind kind :
        {ProtocolKind::kSrm, ProtocolKind::kRma, ProtocolKind::kRp,
-        ProtocolKind::kSourceDirect, ProtocolKind::kParityFec}) {
+        ProtocolKind::kSourceDirect, ProtocolKind::kParityFec,
+        ProtocolKind::kCodedRlc}) {
     const TransferReport report = runTransfer(topo, smallTransfer(kind));
     EXPECT_TRUE(report.complete) << toString(kind);
     EXPECT_EQ(report.losses, report.recoveries) << toString(kind);
@@ -120,6 +125,43 @@ TEST(TransferTest, OverheadReflectsLossRate) {
   const TransferReport b = runTransfer(topo, high);
   EXPECT_GT(b.overhead, a.overhead);
 }
+
+/// Golden pins of runTransfer's substream layout (network 1, SRM 2, loss 3,
+/// CODED 4).  Lossy recovery makes RP, SRM and CODED together draw from
+/// every one of those streams; a moved stream changes the hash.
+struct TransferGolden {
+  ProtocolKind kind;
+  std::uint64_t hash;
+};
+
+void PrintTo(const TransferGolden& golden, std::ostream* os) {
+  *os << toString(golden.kind);
+}
+
+class TransferGoldenTest : public ::testing::TestWithParam<TransferGolden> {};
+
+TEST_P(TransferGoldenTest, LossyRecoveryReportIsPinned) {
+  const net::Topology topo = makeTopology(12);
+  TransferConfig config = smallTransfer(GetParam().kind);
+  config.loss_prob = 0.1;
+  config.lossy_recovery = true;
+  config.seed = 17;
+  const TransferReport report = runTransfer(topo, config);
+  EXPECT_TRUE(report.complete);
+  EXPECT_GT(report.losses, 0u);
+  EXPECT_EQ(reportHash(report), GetParam().hash)
+      << std::hex << reportHash(report);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, TransferGoldenTest,
+    ::testing::Values(
+        TransferGolden{ProtocolKind::kRp, 0x47ecbc823c1d34fdULL},
+        TransferGolden{ProtocolKind::kSrm, 0x1d96b82a264686a3ULL},
+        TransferGolden{ProtocolKind::kCodedRlc, 0x28d2b9dda3b8e79eULL}),
+    [](const auto& param_info) {
+      return std::string(toString(param_info.param.kind));
+    });
 
 }  // namespace
 }  // namespace rmrn::harness

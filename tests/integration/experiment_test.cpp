@@ -181,6 +181,9 @@ TEST(ExperimentTest, ValidatesConfig) {
   ExperimentConfig config = smallConfig();
   config.num_packets = 0;
   EXPECT_THROW(runExperiment(config), std::invalid_argument);
+  // A failing repetition on a pool lane reaches the caller.
+  EXPECT_THROW(runAveragedExperimentParallel(config, 4, kAllProtocols, 2),
+               std::invalid_argument);
   EXPECT_THROW(runAveragedExperiment(smallConfig(), 0),
                std::invalid_argument);
   EXPECT_THROW(runAveragedExperimentParallel(smallConfig(), 0),
